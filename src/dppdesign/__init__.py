@@ -85,7 +85,6 @@ from .tails import (
     fitted_cdf_from_gpd,
     fitted_cdf_from_params,
     qq_points,
-    tail_cdf,
     write_density_overlay,
     write_fit_report,
     write_qq_csv,

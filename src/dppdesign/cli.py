@@ -47,8 +47,51 @@ from .tails import (
 )
 from .trace import SampleTrace, read_trace, write_trace
 
-METHODS = ("dpp", "greedy", "greedy-backward", "exchange", "ga", "exhaustive")
 FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
+
+# solve key (flag dest and config-file key) -> (cast, default)
+_SOLVE_KEYS = {
+    "kernel": (str, None), "synth_n": (int, None), "lengthscale": (float, 0.5),
+    "nugget": (float, 1e-6), "kernel_seed": (int, 0), "k": (int, None),
+    "method": (str, None), "max_iters": (int, 10_000), "seed": (int, 0),
+    "workers": (int, default_workers()), "stop_epsilon": (float, None),
+    "stop_delta": (float, None), "stop_max_wait": (float, None),
+    "stop_check_every": (int, None),
+}
+# solve flag dest -> StoppingPolicy field
+_STOP_FIELDS = {
+    "stop_epsilon": "epsilon", "stop_delta": "delta",
+    "stop_max_wait": "max_expected_wait", "stop_check_every": "check_every",
+}
+
+
+def _one_row(design):
+    return SampleTrace([1], [design.log_det], [design.indices])
+
+
+def _ga(K, args, policy):
+    cfg = GaConfig(
+        population=args.ga_population,
+        p_cross=args.ga_pcross,
+        p_mutprop=args.ga_pmutprop,
+        p_mut=args.ga_pmut,
+        elite_fraction=args.ga_elite,
+        tournament_size=args.ga_tournament,
+        generations=args.max_iters,
+    )
+    return genetic_search(K, args.k, cfg, seed=args.seed)
+
+
+# method -> search(K, args, stopping policy) returning its trace
+METHODS = {
+    "dpp": lambda K, a, policy: dpp_search(K, a.k, a.max_iters, seed=a.seed,
+                                           stop=policy, workers=a.workers),
+    "greedy": lambda K, a, policy: _one_row(greedy_forward(K, a.k)),
+    "greedy-backward": lambda K, a, policy: _one_row(greedy_backward(K, a.k)),
+    "exchange": lambda K, a, policy: _one_row(exchange_refine(K, greedy_forward(K, a.k))),
+    "ga": _ga,
+    "exhaustive": lambda K, a, policy: _one_row(exhaustive_search(K, a.k)),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,10 +124,22 @@ def _read_config_file(path) -> dict:
     return cfg
 
 
-def _merge_config(args, file_cfg, casts):
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in file_cfg:
-            setattr(args, key, cast(file_cfg[key]))
+def _read_json_object(path, what, keys) -> dict:
+    """JSON object from path holding every key in keys; anything else is
+    an input error that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:
+        raise InputFormatError(f"bad {what} JSON {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{what} {path} is not a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise InputFormatError(f"{what} {path} lacks {', '.join(missing)}")
+    return payload
 
 
 def _load_solve_kernel(args):
@@ -98,10 +153,7 @@ def _load_solve_kernel(args):
         "nugget": args.nugget,
         "kernel_seed": args.kernel_seed,
     }
-    try:
-        K = synth_kernel(args.synth_n, args.lengthscale, args.nugget, args.kernel_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    K = synth_kernel(args.synth_n, args.lengthscale, args.nugget, args.kernel_seed)
     return K, params
 
 
@@ -111,35 +163,17 @@ def _run_id(payload: dict) -> str:
 
 
 def cmd_gen_kernel(args) -> int:
-    try:
-        K = synth_kernel(args.n, args.lengthscale, args.nugget, args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    K = synth_kernel(args.n, args.lengthscale, args.nugget, args.seed)
     save_kernel(K, args.out)
     print(f"wrote {args.n}x{args.n} kernel to {args.out}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    if args.config:
-        _merge_config(args, _read_config_file(args.config), {
-            "kernel": str, "synth_n": int, "lengthscale": float, "nugget": float,
-            "kernel_seed": int, "k": int, "method": str, "max_iters": int,
-            "seed": int, "workers": int, "stop_epsilon": float,
-            "stop_delta": float, "stop_max_wait": float, "stop_check_every": int,
-        })
-    if args.lengthscale is None:
-        args.lengthscale = 0.5
-    if args.nugget is None:
-        args.nugget = 1e-6
-    if args.kernel_seed is None:
-        args.kernel_seed = 0
-    if args.max_iters is None:
-        args.max_iters = 10_000
-    if args.seed is None:
-        args.seed = 0
-    if args.workers is None:
-        args.workers = default_workers()
+    file_cfg = _read_config_file(args.config) if args.config else {}
+    for key, (cast, default) in _SOLVE_KEYS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, cast(file_cfg[key]) if key in file_cfg else default)
     if args.k is None or args.method is None:
         raise ConfigError("--k and --method are required")
     if args.method not in METHODS:
@@ -151,58 +185,17 @@ def cmd_solve(args) -> int:
     if args.method in ("dpp", "ga") and args.max_iters < 1:
         raise ConfigError(f"max_iters must be positive, got {args.max_iters}")
 
-    policy = None
-    stop_fields = (args.stop_epsilon, args.stop_delta, args.stop_max_wait,
-                   args.stop_check_every)
-    if args.stop or any(f is not None for f in stop_fields):
-        kwargs = {}
-        if args.stop_epsilon is not None:
-            kwargs["epsilon"] = args.stop_epsilon
-        if args.stop_delta is not None:
-            kwargs["delta"] = args.stop_delta
-        if args.stop_max_wait is not None:
-            kwargs["max_expected_wait"] = args.stop_max_wait
-        if args.stop_check_every is not None:
-            kwargs["check_every"] = args.stop_check_every
-        try:
-            policy = StoppingPolicy(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    stop_kwargs = {field: getattr(args, flag) for flag, field in _STOP_FIELDS.items()
+                   if getattr(args, flag) is not None}
+    policy = StoppingPolicy(**stop_kwargs) if args.stop or stop_kwargs else None
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    stopped_at = None
-    if args.method == "exhaustive":
-        best = exhaustive_search(K, args.k)
-        trace = SampleTrace([1], [best.log_det], [best.indices])
-    elif args.method == "greedy":
-        best = greedy_forward(K, args.k)
-        trace = SampleTrace([1], [best.log_det], [best.indices])
-    elif args.method == "greedy-backward":
-        best = greedy_backward(K, args.k)
-        trace = SampleTrace([1], [best.log_det], [best.indices])
-    elif args.method == "exchange":
-        best = exchange_refine(K, greedy_forward(K, args.k))
-        trace = SampleTrace([1], [best.log_det], [best.indices])
-    elif args.method == "ga":
-        cfg = GaConfig(
-            population=args.ga_population,
-            p_cross=args.ga_pcross,
-            p_mutprop=args.ga_pmutprop,
-            p_mut=args.ga_pmut,
-            elite_fraction=args.ga_elite,
-            tournament_size=args.ga_tournament,
-            generations=args.max_iters,
-        )
-        trace = genetic_search(K, args.k, cfg, seed=args.seed)
-        best = best_subset(K, trace)
-    else:
-        trace = dpp_search(K, args.k, args.max_iters, seed=args.seed,
-                           stop=policy, workers=args.workers)
-        best = best_subset(K, trace)
-        stopped_at = trace.stopped_at
+    trace = METHODS[args.method](K, args, policy)
+    best = best_subset(K, trace)
+    stopped_at = getattr(trace, "stopped_at", None)
     wall = time.perf_counter() - t0
 
     config_payload = {
@@ -233,16 +226,15 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _jittered_trace(args):
-    trace = read_trace(args.trace)
-    if args.sigma == 0:
-        return trace, trace
-    jittered = jitter_trace(trace, JitterConfig(sigma=args.sigma, seed=args.seed))
-    return trace, jittered
+def _jittered_trace(path, sigma, seed):
+    trace = read_trace(path)
+    if sigma == 0:
+        return trace
+    return jitter_trace(trace, JitterConfig(sigma=sigma, seed=seed))
 
 
 def cmd_analyze_records(args) -> int:
-    _, jittered = _jittered_trace(args)
+    jittered = _jittered_trace(args.trace, args.sigma, args.seed)
     records = extract_records(jittered)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,7 +260,7 @@ def cmd_fit_tail(args) -> int:
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families: {unknown}")
-    _, jittered = _jittered_trace(args)
+    jittered = _jittered_trace(args.trace, args.sigma, args.seed)
     values = jittered.values
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -308,15 +300,8 @@ def cmd_stopping_report(args) -> int:
     if not fit_paths:
         raise ConfigError("at least one fit JSON is required")
     digest = _sha256(args.trace)
-    payloads = []
-    for path in fit_paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payloads.append(json.load(fh))
-        except OSError as exc:
-            raise InputFormatError(f"cannot read fit {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"bad fit JSON {path}: {exc}") from None
+    fit_keys = ("jitter_sigma", "jitter_seed", "family", "parameters")
+    payloads = [_read_json_object(path, "fit", fit_keys) for path in fit_paths]
     for path, payload in zip(fit_paths, payloads):
         if payload.get("trace_sha256") != digest:
             raise ConfigError(
@@ -327,25 +312,36 @@ def cmd_stopping_report(args) -> int:
     if len(sigmas) != 1 or len(seeds) != 1:
         raise ConfigError("fits disagree on jitter parameters")
 
-    args.sigma, args.seed = sigmas.pop(), seeds.pop()
-    _, jittered = _jittered_trace(args)
+    jittered = _jittered_trace(args.trace, sigmas.pop(), seeds.pop())
     records = extract_records(jittered)
 
     reference = args.reference
     if args.reference_json is not None:
         if reference is not None:
             raise ConfigError("give either --reference or --reference-json")
-        with open(args.reference_json, "r", encoding="utf-8") as fh:
-            reference = float(json.load(fh)["log_det"])
+        path = args.reference_json
+        log_det = _read_json_object(path, "reference", ("log_det",))["log_det"]
+        if not isinstance(log_det, (int, float)):
+            raise InputFormatError(f"reference {path}: log_det is not a number")
+        reference = float(log_det)
 
-    fits = [
-        fitted_cdf_from_params(
-            payload["family"], payload["parameters"], values=jittered.values,
-            shift=payload.get("shift", 0.0), threshold=payload.get("threshold"),
-            loglik=payload.get("loglik"), n_used=payload.get("n_used", 0),
-        )
-        for payload in payloads
-    ]
+    fits = []
+    for path, payload in zip(fit_paths, payloads):
+        params = payload["parameters"]
+        if not isinstance(params, dict) or not all(
+            isinstance(v, (int, float)) for v in params.values()
+        ):
+            raise InputFormatError(
+                f"fit {path}: parameters must be a JSON object of numbers"
+            )
+        try:
+            fits.append(fitted_cdf_from_params(
+                payload["family"], params, values=jittered.values,
+                shift=payload.get("shift", 0.0), threshold=payload.get("threshold"),
+                loglik=payload.get("loglik"), n_used=payload.get("n_used", 0),
+            ))
+        except ValueError as exc:
+            raise InputFormatError(f"fit {path}: {exc}") from None
     epsilons = DEFAULT_EPSILONS
     if args.epsilons:
         epsilons = tuple(float(e) for e in args.epsilons.split(","))
@@ -388,7 +384,7 @@ def build_parser() -> _Parser:
     s.add_argument("--nugget", type=float)
     s.add_argument("--kernel-seed", dest="kernel_seed", type=int)
     s.add_argument("--k", type=int)
-    s.add_argument("--method", choices=METHODS)
+    s.add_argument("--method", choices=tuple(METHODS))
     s.add_argument("--max-iters", dest="max_iters", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--workers", type=int)

@@ -60,10 +60,6 @@ class KernelMatrix:
     def labels(self):
         return self._labels
 
-    def submatrix(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.intp)
-        return self._entries[np.ix_(idx, idx)]
-
     def __repr__(self):
         return f"KernelMatrix(dim={self.dim})"
 
@@ -187,15 +183,13 @@ def synth_kernel(n: int, lengthscale: float, nugget: float = 0.0, seed: int = 0)
     return KernelMatrix(entries)
 
 
-def load_kernel(path, fmt: str = "auto") -> KernelMatrix:
+def load_kernel(path) -> KernelMatrix:
     """Load a kernel from a plain-text matrix file.
 
-    One row per line, comma- or whitespace-separated numbers.  An optional
-    first line "# labels: a,b,c" names the sites.  `fmt` is "auto", "csv"
-    or "whitespace"; "auto" splits on commas when a line contains one.
+    One row per line, comma- or whitespace-separated numbers: a line
+    containing a comma splits on commas.  An optional first line
+    "# labels: a,b,c" names the sites.
     """
-    if fmt not in ("auto", "csv", "whitespace"):
-        raise ValueError(f"unknown matrix format {fmt!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -211,7 +205,7 @@ def load_kernel(path, fmt: str = "auto") -> KernelMatrix:
         raise InputFormatError(f"empty matrix file: {path}")
     rows = []
     for ln in lines:
-        if fmt == "csv" or (fmt == "auto" and "," in ln):
+        if "," in ln:
             cells = [c for c in (s.strip() for s in ln.split(",")) if c]
         else:
             cells = ln.split()

@@ -61,52 +61,159 @@ class CensWeibullFit:
 
 
 # ---------------------------------------------------------------------------
-# Distribution primitives (vectorized over numpy arrays)
+# Evaluators: one closed form per family, vectorized over 1-d float arrays
 
 
-def _gpd_sf(z, xi):
-    """Survival of the standardized GPD at z = (y - mu)/sigma >= 0."""
-    z = np.asarray(z, dtype=np.float64)
-    if abs(xi) < _XI_EXP_BRANCH:
-        return np.exp(-z)
-    w = 1.0 + xi * z
-    out = np.where(w > 0.0, np.power(np.maximum(w, 1e-300), -1.0 / xi), 0.0)
-    if xi < 0:
-        out = np.where(w <= 0.0, 0.0, out)
-    return out
+class _Composite:
+    """Empirical body (ecdf, histogram density, order-statistic quantile)
+    with an optional peaks-over-threshold tail (mu, sigma, xi, p_tail):
+    above mu the survival is p_tail * H((x - mu) / sigma), H the GPD
+    survival."""
+
+    def __init__(self, sample, tail=None):
+        self.sorted = np.sort(_check_values(sample))
+        self.tail = tail
+        body = self.sorted if tail is None else self.sorted[self.sorted <= tail[0]]
+        self.hist = np.histogram(body, bins="auto", density=True) if body.size else None
+
+    def _standard_gpd(self, x, extra_power):
+        """GPD survival (extra_power 0) or density (1) at the standardized
+        exceedance of x, floored at zero."""
+        mu, sigma, xi, _ = self.tail
+        z = np.maximum((x - mu) / sigma, 0.0)
+        if abs(xi) < _XI_EXP_BRANCH:
+            return np.exp(-z)
+        w = 1.0 + xi * z
+        power = -1.0 / xi - extra_power
+        return np.where(w > 0.0, np.power(np.maximum(w, 1e-300), power), 0.0)
+
+    def survival(self, x):
+        body = 1.0 - np.searchsorted(self.sorted, x, side="right") / self.sorted.size
+        if self.tail is None:
+            return body
+        mu, _, _, p_tail = self.tail
+        return np.where(x >= mu, p_tail * self._standard_gpd(x, 0.0), body)
+
+    def pdf(self, x):
+        if self.hist is None:
+            body = np.zeros_like(x)
+        else:
+            dens, edges = self.hist
+            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, dens.size - 1)
+            body = np.where((x >= edges[0]) & (x <= edges[-1]), dens[idx], 0.0)
+        if self.tail is None:
+            return body
+        mu, sigma, _, p_tail = self.tail
+        return np.where(x >= mu, p_tail * self._standard_gpd(x, 1.0) / sigma,
+                        (1.0 - p_tail) * body)
+
+    def quantile(self, q):
+        # Order statistic ceil(n q) - 1: numpy's "inverted_cdf" quantile
+        # without its partition per level.
+        n = self.sorted.size
+        out = self.sorted[np.clip(np.ceil(n * q).astype(np.intp) - 1, 0, n - 1)]
+        if self.tail is None:
+            return out
+        mu, sigma, xi, p_tail = self.tail
+        hi = q > 1.0 - p_tail
+        u = (1.0 - q[hi]) / p_tail
+        if abs(xi) < _XI_EXP_BRANCH:
+            out[hi] = mu - sigma * np.log(u)
+        else:
+            out[hi] = mu + sigma * (np.power(u, -xi) - 1.0) / xi
+        return out
 
 
-def _gpd_pdf(z, xi):
-    z = np.asarray(z, dtype=np.float64)
-    if abs(xi) < _XI_EXP_BRANCH:
-        return np.exp(-z)
-    w = 1.0 + xi * z
-    return np.where(w > 0.0, np.power(np.maximum(w, 1e-300), -1.0 / xi - 1.0), 0.0)
+class _Weibull:
+    """Weibull(shape, scale) on x - shift; the exponential is shape 1."""
+
+    def __init__(self, shape, scale, shift):
+        self.shape, self.scale, self.shift = shape, scale, shift
+
+    def survival(self, x):
+        z = np.maximum(x - self.shift, 0.0) / self.scale
+        return np.exp(-np.power(z, self.shape))
+
+    def pdf(self, x):
+        y = x - self.shift
+        out = np.zeros_like(y)
+        pos = y > 0
+        z = y[pos] / self.scale
+        k = self.shape
+        out[pos] = (k / self.scale) * np.power(z, k - 1.0) * np.exp(-np.power(z, k))
+        return out
+
+    def quantile(self, q):
+        return self.shift + self.scale * np.power(-np.log1p(-q), 1.0 / self.shape)
 
 
-def _weibull_sf(x, shape, scale):
+class _LogNormal:
+    """Normal(mu, sigma) on log(x - shift)."""
+
+    def __init__(self, mu, sigma, shift):
+        self.mu, self.sigma, self.shift = mu, sigma, shift
+
+    def survival(self, x):
+        y = x - self.shift
+        out = np.ones_like(y)
+        pos = y > 0
+        out[pos] = special.ndtr(-(np.log(y[pos]) - self.mu) / self.sigma)
+        return out
+
+    def pdf(self, x):
+        y = x - self.shift
+        out = np.zeros_like(y)
+        pos = y > 0
+        z = (np.log(y[pos]) - self.mu) / self.sigma
+        out[pos] = np.exp(-0.5 * z * z) / (
+            y[pos] * self.sigma * math.sqrt(2.0 * math.pi)
+        )
+        return out
+
+    def quantile(self, q):
+        return self.shift + np.exp(self.mu + self.sigma * special.ndtri(q))
+
+
+def _exponential(p, shift, sample):
+    if not p["rate"] > 0:
+        raise ValueError(f"rate must be positive, got {p['rate']}")
+    return _Weibull(1.0, 1.0 / p["rate"], p["loc"])
+
+
+def _weibull(p, shift, sample):
+    return _Weibull(p["shape"], p["scale"], shift)
+
+
+# family -> evaluator built from (params, shift, sample)
+_FAMILIES = {
+    "gpd": lambda p, shift, sample: _Composite(
+        sample, (p["mu"], p["sigma"], p["xi"], p["p_tail"])
+    ),
+    "empirical": lambda p, shift, sample: _Composite(sample),
+    "weibull": _weibull,
+    "cens_weibull": _weibull,
+    "exponential": _exponential,
+    "lognormal": lambda p, shift, sample: _LogNormal(p["mu"], p["sigma"], shift),
+}
+
+
+def _elementwise(fn, x):
+    """Apply an evaluator to a float array; scalars in give floats out."""
     x = np.asarray(x, dtype=np.float64)
-    z = np.maximum(x, 0.0) / scale
-    return np.exp(-np.power(z, shape))
-
-
-def _weibull_pdf(x, shape, scale):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    pos = x > 0
-    z = x[pos] / scale
-    out[pos] = (shape / scale) * np.power(z, shape - 1.0) * np.exp(-np.power(z, shape))
-    return out
+    out = fn(np.atleast_1d(x))
+    return float(out[0]) if x.ndim == 0 else out
 
 
 class FittedCdf:
     """Evaluable fitted distribution: cdf, survival, pdf and quantile.
 
     family is one of gpd, cens_weibull, weibull, lognormal, exponential,
-    empirical.  The gpd family is the composite peaks-over-threshold
+    empirical; an unknown family or a missing parameter raises
+    ValueError here.  The gpd family is the composite peaks-over-threshold
     model: empirical below the threshold, 1 - p_tail + p_tail * H(r)
-    above it, with p_tail the exceedance fraction.  Survival is computed
-    directly (not as 1 - cdf) so tiny tail probabilities keep precision.
+    above it, with p_tail the exceedance fraction; empirical is the same
+    composite with no tail.  Survival is computed directly (not as
+    1 - cdf) so tiny tail probabilities keep precision.
     """
 
     def __init__(self, family, params, shift=0.0, threshold=None,
@@ -117,125 +224,28 @@ class FittedCdf:
         self.threshold = threshold
         self.loglik = loglik
         self.n_used = int(n_used)
-        self._sorted = None
-        self._hist = None
-        if family in ("gpd", "empirical"):
-            if sample is None:
-                raise ValueError(f"{family} model needs the sample")
-            self._sorted = np.sort(np.asarray(sample, dtype=np.float64))
-            below = self._sorted
-            if family == "gpd":
-                below = self._sorted[self._sorted <= self.threshold]
-            if below.size:
-                dens, edges = np.histogram(below, bins="auto", density=True)
-                self._hist = (dens, edges)
-
-    # -- internal per-family pieces -----------------------------------
-
-    def _ecdf(self, x):
-        return np.searchsorted(self._sorted, x, side="right") / self._sorted.size
-
-    def _hist_pdf(self, x):
-        if self._hist is None:
-            return np.zeros_like(np.asarray(x, dtype=np.float64))
-        dens, edges = self._hist
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, dens.size - 1)
-        inside = (x >= edges[0]) & (x <= edges[-1])
-        return np.where(inside, dens[idx], 0.0)
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        try:
+            self._eval = _FAMILIES[family](self.params, self.shift, sample)
+        except KeyError as exc:
+            raise ValueError(f"{family} model is missing parameter {exc}") from None
+        self._hist = getattr(self._eval, "hist", None)
 
     def survival(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        p = self.params
-        if self.family == "gpd":
-            z = (x - p["mu"]) / p["sigma"]
-            tail = p["p_tail"] * _gpd_sf(np.maximum(z, 0.0), p["xi"])
-            out = np.where(x >= p["mu"], tail, 1.0 - self._ecdf(x))
-        elif self.family in ("cens_weibull", "weibull"):
-            out = _weibull_sf(x - self.shift, p["shape"], p["scale"])
-        elif self.family == "lognormal":
-            y = x - self.shift
-            out = np.ones_like(y)
-            pos = y > 0
-            out[pos] = special.ndtr(-(np.log(y[pos]) - p["mu"]) / p["sigma"])
-        elif self.family == "exponential":
-            out = np.exp(-p["rate"] * np.maximum(x - p["loc"], 0.0))
-        elif self.family == "empirical":
-            out = 1.0 - self._ecdf(x)
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        return float(out[0]) if scalar else out
+        return _elementwise(self._eval.survival, x)
 
     def cdf(self, x):
-        s = self.survival(x)
-        return 1.0 - s
+        return 1.0 - self.survival(x)
 
     def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        p = self.params
-        if self.family == "gpd":
-            z = (x - p["mu"]) / p["sigma"]
-            tail = p["p_tail"] * _gpd_pdf(np.maximum(z, 0.0), p["xi"]) / p["sigma"]
-            below = (1.0 - p["p_tail"]) * self._hist_pdf(x)
-            out = np.where(x >= p["mu"], tail, below)
-        elif self.family in ("cens_weibull", "weibull"):
-            out = _weibull_pdf(x - self.shift, p["shape"], p["scale"])
-        elif self.family == "lognormal":
-            y = x - self.shift
-            out = np.zeros_like(y)
-            pos = y > 0
-            z = (np.log(y[pos]) - p["mu"]) / p["sigma"]
-            out[pos] = np.exp(-0.5 * z * z) / (
-                y[pos] * p["sigma"] * math.sqrt(2.0 * math.pi)
-            )
-        elif self.family == "exponential":
-            out = np.where(
-                x >= p["loc"], p["rate"] * np.exp(-p["rate"] * (x - p["loc"])), 0.0
-            )
-        elif self.family == "empirical":
-            out = self._hist_pdf(x)
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        return float(out[0]) if scalar else out
+        return _elementwise(self._eval.pdf, x)
 
     def quantile(self, q):
         q = np.asarray(q, dtype=np.float64)
-        scalar = q.ndim == 0
-        q = np.atleast_1d(q)
-        if np.any((q < 0) | (q > 1)):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError("quantile levels must lie in [0, 1]")
-        p = self.params
-        if self.family == "gpd":
-            split = 1.0 - p["p_tail"]
-            out = np.empty_like(q)
-            lo = q <= split
-            if lo.any():
-                out[lo] = np.quantile(self._sorted, q[lo], method="inverted_cdf")
-            hi = ~lo
-            if hi.any():
-                u = (1.0 - q[hi]) / p["p_tail"]
-                if abs(p["xi"]) < _XI_EXP_BRANCH:
-                    out[hi] = p["mu"] - p["sigma"] * np.log(u)
-                else:
-                    out[hi] = p["mu"] + p["sigma"] * (
-                        np.power(u, -p["xi"]) - 1.0
-                    ) / p["xi"]
-        elif self.family in ("cens_weibull", "weibull"):
-            out = self.shift + p["scale"] * np.power(
-                -np.log1p(-q), 1.0 / p["shape"]
-            )
-        elif self.family == "lognormal":
-            out = self.shift + np.exp(p["mu"] + p["sigma"] * special.ndtri(q))
-        elif self.family == "exponential":
-            out = p["loc"] - np.log1p(-q) / p["rate"]
-        elif self.family == "empirical":
-            out = np.quantile(self._sorted, q, method="inverted_cdf")
-        else:
-            raise ValueError(f"unknown family {self.family!r}")
-        return float(out[0]) if scalar else out
+        return _elementwise(self._eval.quantile, q)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +513,6 @@ def empirical_cdf(values) -> FittedCdf:
 
 
 def exponential_cdf(rate: float = 1.0, loc: float = 0.0) -> FittedCdf:
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
     return FittedCdf("exponential", {"rate": rate, "loc": loc})
 
 
@@ -514,13 +522,8 @@ def fitted_cdf_from_params(family, params, values=None, shift=0.0,
 
     The composite gpd and empirical families need the sample back.
     """
-    sample = None
-    if family in ("gpd", "empirical"):
-        if values is None:
-            raise ValueError(f"{family} model needs the sample to rebuild")
-        sample = _check_values(values)
     return FittedCdf(family, params, shift=shift, threshold=threshold,
-                     loglik=loglik, n_used=n_used, sample=sample)
+                     loglik=loglik, n_used=n_used, sample=values)
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +554,6 @@ def qq_points(fit: FittedCdf, values, upper_tail_only: bool = False) -> np.ndarr
     return np.column_stack([theo, srt])
 
 
-def tail_cdf(fit: FittedCdf, r):
-    """Cumulative probability of the fitted model at r."""
-    return fit.cdf(r)
-
-
 def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
     payload = {
         "family": fit.family,
@@ -579,11 +577,12 @@ def write_qq_csv(points: np.ndarray, path) -> None:
             fh.write(f"{theo:.17g},{emp:.17g}\n")
 
 
-def write_density_overlay(fit: FittedCdf, values, path, grid_size: int = 512) -> None:
-    """CSV of empirical histogram density and fitted density on a grid."""
+def write_density_overlay(fit: FittedCdf, values, path) -> None:
+    """CSV of empirical histogram density and fitted density on a
+    512-point grid over the sample range."""
     x = _check_values(values)
     dens, edges = np.histogram(x, bins="auto", density=True)
-    grid = np.linspace(x.min(), x.max(), grid_size)
+    grid = np.linspace(x.min(), x.max(), 512)
     idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, dens.size - 1)
     emp = dens[idx]
     fitted = fit.pdf(grid)

@@ -94,4 +94,14 @@ def read_trace(path) -> SampleTrace:
             subsets.append(tuple(int(s) for s in parts[3].split(";") if s))
         except ValueError:
             raise InputFormatError(f"malformed trace row: {ln!r}") from None
+    try:
+        idx = np.array(subsets, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise InputFormatError(
+            f"trace subsets differ in size or overflow int64: {path}"
+        ) from None
+    if idx.size and (idx.min() < 0 or np.any(np.diff(idx, axis=1) <= 0)):
+        raise InputFormatError(
+            f"trace subsets must hold nonnegative, strictly increasing indices: {path}"
+        )
     return SampleTrace(iterations, values, subsets)

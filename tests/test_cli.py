@@ -102,6 +102,32 @@ class TestSolve:
         assert run("solve", "--synth-n", 9, "--kernel-seed", 3, "--k", 3,
                    "--method", "exchange", "--out-dir", out) == 0
 
+    @staticmethod
+    def stopped_at_checkpoint(out, max_iters):
+        stopped = json.loads((out / "run_meta.json").read_text())["stopped_at"]
+        assert stopped is None or stopped % 500 == 0
+        assert read_trace(out / "trace.csv").n == (stopped or max_iters)
+        return stopped
+
+    def test_stop_flags(self, tmp_path, capsys):
+        out = tmp_path / "stop"
+        assert run("solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4,
+                   "--method", "dpp", "--max-iters", 2000, "--workers", 1,
+                   "--stop", "--stop-check-every", 500, "--out-dir", out) == 0
+        self.stopped_at_checkpoint(out, 2000)
+        assert run("solve", "--synth-n", 12, "--k", 4, "--method", "dpp",
+                   "--stop-delta", 2, "--out-dir", tmp_path / "bad") == 1
+
+    def test_stop_config_keys(self, tmp_path, capsys):
+        # a policy this lax fires at the first checkpoint with a usable fit
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth_n=12\nkernel_seed=7\nk=4\nmethod=dpp\n"
+                       "max_iters=2000\nworkers=1\nstop_check_every=500\n"
+                       "stop_delta=0.99\nstop_max_wait=1\n")
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out-dir", out) == 0
+        assert self.stopped_at_checkpoint(out, 2000) is not None
+
 
 class TestAnalyzeRecords:
     def test_hand_trace_has_three_records(self, tmp_path, capsys):
@@ -123,6 +149,16 @@ class TestAnalyzeRecords:
         p.write_text(TRACE_HEADER + "\n")
         assert run("analyze-records", "--trace", p, "--out-dir", tmp_path / "o") == 2
 
+    @pytest.mark.parametrize("row", ["3,9,1,0;1;2;99", "3,9,1,2;1", "3,9,1,1;1",
+                                     "3,9,1,-1;2"])
+    def test_malformed_subsets_exit_two(self, tmp_path, capsys, row):
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=(1.0, 2.0))
+        with open(trace, "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+        assert run("analyze-records", "--trace", trace, "--sigma", 0,
+                   "--out-dir", tmp_path / "o") == 2
+
     def test_ties_without_jitter_exit_three(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         write_toy_trace(trace, values=(1.0, 1.0, 2.0))
@@ -143,6 +179,65 @@ class TestFitTail:
         write_toy_trace(trace)
         assert run("fit-tail", "--trace", trace, "--families", "cauchy",
                    "--out-dir", tmp_path / "o") == 1
+
+
+def _without(key):
+    return lambda payload: json.dumps({k: v for k, v in payload.items() if k != key})
+
+
+def _without_parameter(key):
+    def corrupt(payload):
+        params = {k: v for k, v in payload["parameters"].items() if k != key}
+        return json.dumps({**payload, "parameters": params})
+    return corrupt
+
+
+class TestStoppingReportInputs:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        trace = d / "trace.csv"
+        write_toy_trace(trace, values=np.random.default_rng(0).normal(size=400))
+        assert run("fit-tail", "--trace", trace, "--families", "gpd",
+                   "--out-dir", d) == 0
+        reference = d / "best.json"
+        reference.write_text(json.dumps({"log_det": 1.0}))
+        assert run("stopping-report", "--trace", trace, "--fits", d / "fit_gpd.json",
+                   "--reference-json", reference, "--out-dir", d / "report") == 0
+        return {"trace": trace, "fit": d / "fit_gpd.json", "reference": reference}
+
+    @pytest.mark.parametrize("target,corrupt", [
+        pytest.param("fit", None, id="fit-unreadable"),
+        pytest.param("fit", lambda payload: "{not json", id="fit-not-json"),
+        pytest.param("fit", lambda payload: json.dumps([payload]), id="fit-list"),
+        pytest.param("fit", _without("jitter_sigma"), id="fit-no-jitter_sigma"),
+        pytest.param("fit", _without("jitter_seed"), id="fit-no-jitter_seed"),
+        pytest.param("fit", _without("family"), id="fit-no-family"),
+        pytest.param("fit", _without("parameters"), id="fit-no-parameters"),
+        pytest.param("fit", lambda payload: json.dumps({**payload, "family": "cauchy"}),
+                     id="fit-unknown-family"),
+        pytest.param("fit", _without_parameter("sigma"), id="fit-no-sigma"),
+        pytest.param("fit", lambda payload: json.dumps({**payload, "parameters": [1.0]}),
+                     id="fit-parameters-list"),
+        pytest.param("reference", None, id="reference-unreadable"),
+        pytest.param("reference", lambda payload: "not json", id="reference-not-json"),
+        pytest.param("reference", lambda payload: json.dumps([payload]),
+                     id="reference-list"),
+        pytest.param("reference", _without("log_det"), id="reference-no-log_det"),
+        pytest.param("reference", lambda payload: json.dumps({"log_det": None}),
+                     id="reference-null-log_det"),
+    ])
+    def test_malformed_input_exits_two(self, inputs, tmp_path, capsys, target, corrupt):
+        bad = tmp_path / inputs[target].name
+        if corrupt is not None:
+            bad.write_text(corrupt(json.loads(inputs[target].read_text())))
+        files = {**inputs, target: bad}
+        capsys.readouterr()
+        assert run("stopping-report", "--trace", files["trace"], "--fits", files["fit"],
+                   "--reference-json", files["reference"],
+                   "--out-dir", tmp_path / "report") == 2
+        err = capsys.readouterr().err.strip()
+        assert str(bad) in err and "\n" not in err
 
 
 class TestPipeline:

@@ -17,9 +17,8 @@ from dppdesign import (
     fitted_cdf_from_gpd,
     fitted_cdf_from_params,
     qq_points,
-    tail_cdf,
 )
-from dppdesign.tails import censored_weibull_loglik, gpd_exceedance_loglik
+from dppdesign.tails import FittedCdf, censored_weibull_loglik, gpd_exceedance_loglik
 
 
 def gpd_sample(xi, n, seed, sigma=1.0):
@@ -222,9 +221,45 @@ class TestQqPoints:
 
 
 class TestFittedCdfPlumbing:
-    def test_tail_cdf_delegates(self):
-        F = exponential_cdf(rate=2.0)
-        assert tail_cdf(F, 1.0) == pytest.approx(1 - math.exp(-2.0))
+    @pytest.mark.parametrize("family", ["gpd", "empirical"])
+    def test_body_quantile_is_inverted_cdf(self, family):
+        x = gpd_sample(0.1, 2001, seed=6)
+        if family == "gpd":
+            # levels above 1 - p_tail belong to the GPD tail formula
+            model = fitted_cdf_from_gpd(fit_gpd_pot(x, 0.9), x)
+            top = 1.0 - model.params["p_tail"]
+        else:
+            model = empirical_cdf(x)
+            top = 1.0
+        n = x.size
+        levels = np.concatenate([
+            np.random.default_rng(0).uniform(0.0, top, 5000),
+            np.arange(n + 1) / n, [0.0, top],
+        ])
+        levels = levels[levels <= top]
+        expect = np.quantile(np.sort(x), levels, method="inverted_cdf")
+        assert np.array_equal(model.quantile(levels), expect)
+        for q in (0.0, top):
+            assert model.quantile(q) == np.quantile(x, q, method="inverted_cdf")
+
+    def test_unknown_family_raises_at_construction(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            FittedCdf("cauchy", {"loc": 0.0, "scale": 1.0})
+
+    @pytest.mark.parametrize("family,params", [
+        ("gpd", {"mu": 0.0, "sigma": 1.0, "xi": 0.1}),
+        ("weibull", {"shape": 2.0}),
+        ("cens_weibull", {"scale": 1.0}),
+        ("lognormal", {"mu": 0.0}),
+        ("exponential", {"rate": 1.0}),
+    ])
+    def test_missing_parameter_raises_at_construction(self, family, params):
+        with pytest.raises(ValueError, match="missing parameter"):
+            FittedCdf(family, params, sample=np.arange(50.0))
+
+    def test_composite_needs_sample(self):
+        with pytest.raises(ValueError, match="values"):
+            fitted_cdf_from_params("empirical", {})
 
     def test_exponential_survival_precision(self):
         F = exponential_cdf(rate=1.0)

@@ -8,6 +8,7 @@ from .dpp import (
     ElementarySymmetricTable,
     elementary_table,
     exact_k_dpp_pmf,
+    sample_k_batch,
     sample_k_dpp,
 )
 from .errors import (

@@ -142,6 +142,25 @@ def _read_json_object(path, what, keys) -> dict:
     return payload
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_fit_scalars(path, payload) -> None:
+    """Reject fit JSON scalars of the wrong type before they reach the
+    jitter stream or the fitted model."""
+    sigma, seed = payload["jitter_sigma"], payload["jitter_seed"]
+    if not (_is_number(sigma) and sigma >= 0):
+        raise InputFormatError(f"fit {path}: jitter_sigma must be a number >= 0")
+    # Any integer seeds a stream (fit-tail --seed accepts negative ones).
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InputFormatError(f"fit {path}: jitter_seed must be an integer")
+    if "shift" in payload and not _is_number(payload["shift"]):
+        raise InputFormatError(f"fit {path}: shift must be a number")
+    if payload.get("threshold") is not None and not _is_number(payload["threshold"]):
+        raise InputFormatError(f"fit {path}: threshold must be a number or null")
+
+
 def _load_solve_kernel(args):
     if (args.kernel is None) == (args.synth_n is None):
         raise ConfigError("exactly one of --kernel or --synth-n is required")
@@ -307,6 +326,7 @@ def cmd_stopping_report(args) -> int:
             raise ConfigError(
                 f"run-id mismatch: fit {path} was not produced from {args.trace}"
             )
+        _check_fit_scalars(path, payload)
     sigmas = {payload["jitter_sigma"] for payload in payloads}
     seeds = {payload["jitter_seed"] for payload in payloads}
     if len(sigmas) != 1 or len(seeds) != 1:

@@ -1,12 +1,18 @@
 """Exact fixed-size determinantal point process sampling.
 
-Sampling works in two phases.  Phase one picks which k eigenvectors span
-the projection process, walking the eigenvalues against a table of
-elementary symmetric polynomials: eigenvalue m is kept with probability
-lambda_m * e_{k-1}(first m-1) / e_k(first m).  Phase two samples items one
-at a time from the projection kernel, selecting item i with probability
-(1/|V|) * sum_v (v^T e_i)^2 and then replacing V with an orthonormal basis
-for the part of span(V) orthogonal to coordinate i.
+`sample_k_batch` draws many subsets in lock step, one per row of a
+uniforms array, in two phases.  Phase one picks which k eigenvectors span
+each row's projection process: a row walks the eigenvalues from the last
+to the first against a table of elementary symmetric polynomials, keeping
+eigenvalue m with probability lambda_m * e_{kk-1}(first m-1) / e_kk(first m),
+where kk is the number of eigenvectors it has still to pick.  All rows
+advance together one pick at a time.  Phase two then runs k rounds over
+the whole (B, k, n) stack of bases: each round selects one item per row
+with probability (1/|V|) * sum_v (v^T e_i)^2 and replaces that row's V
+with an orthonormal basis for the part of span(V) orthogonal to
+coordinate i.  No operation mixes rows, so a draw depends only on its own
+uniforms, never on the chunk or worker it is drawn in; `sample_k_dpp` is
+the one-row call.
 
 Subset probabilities are proportional to the determinant of the kernel's
 principal submatrix, normalized over all subsets of the same cardinality;
@@ -52,20 +58,12 @@ class ElementarySymmetricTable:
     def value(self, m: int, j: int) -> float:
         return float(self.table[m, j]) * self.scale**j
 
-    def _rows(self) -> list:
-        # Python-list view of the table; scalar indexing in the sampler's
-        # inner loop is much faster on lists than on numpy arrays.
-        if not hasattr(self, "_rows_cache"):
-            self._rows_cache = self.table.tolist()
-        return self._rows_cache
-
 
 @dataclass(frozen=True)
 class DppSample:
-    """One sampled subset; seed_state identifies the stream that produced it."""
+    """One sampled subset, as sorted item indices."""
 
     indices: tuple
-    seed_state: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
@@ -99,54 +97,83 @@ def elementary_table(eigenvalues, k: int) -> ElementarySymmetricTable:
     return ElementarySymmetricTable(e, scale)
 
 
-def _select_eigenvectors(eig: EigenSystem, k: int, table: ElementarySymmetricTable,
-                         u: list) -> list:
-    """Phase one: choose k eigenvector indices using uniforms u[0..n-1]."""
-    e = table._rows()
-    lam = eig.eigenvalues if table.scale == 1.0 else eig.eigenvalues / table.scale
-    lam = lam.tolist()
-    n = eig.n
-    chosen = []
-    kk = k
-    for m in range(n, 0, -1):
-        if kk == 0:
-            break
-        if u[n - m] < lam[m - 1] * e[m - 1][kk - 1] / e[m][kk]:
-            chosen.append(m - 1)
-            kk -= 1
-    if kk != 0:
-        raise NumericError("eigenvalue selection failed to pick k components")
-    return chosen
+def sample_k_batch(eig: EigenSystem, k: int, U: np.ndarray,
+                   table: ElementarySymmetricTable) -> np.ndarray:
+    """Draw one size-k subset per row of U; returns a sorted (B, k) array.
 
-
-def _drop_coordinate(act: np.ndarray, i: int) -> None:
-    """Rotate the orthonormal rows of act so rows 1.. span the part of
-    their span orthogonal to coordinate i.
-
-    The rows stay orthonormal because the update is a single Householder
-    reflection applied in coefficient space: the reflection maps the
-    vector of i-th coordinates onto the first basis vector, so every row
-    but the first ends up with a zero i-th coordinate while the span is
-    preserved exactly.
+    Row r of U holds the n + k uniforms of one draw: n for phase one, then
+    one per item of phase two.  Rows never mix, so each result depends on
+    its own row of uniforms only.  Callers check k and the eigensystem's
+    rank against `table`, as sample_k_dpp does.
     """
-    c = act[:, i].copy()
-    alpha = math.sqrt(c @ c)
-    if alpha == 0.0:
-        raise NumericError("orthogonal complement collapsed during sampling")
-    c[0] += math.copysign(alpha, c[0])
-    beta = 2.0 / (c @ c)
-    act -= (beta * c)[:, None] * (c @ act)[None, :]
-    act[1:, i] = 0.0
+    n = eig.n
+    B = U.shape[0]
+    rows = np.arange(B)
+
+    # Phase one.  A row walking m = n down to 1 with kk eigenvectors still to
+    # pick keeps m when u[n - m] < lam[m-1] * e[m-1, kk-1] / e[m, kk].  Every
+    # row has kk = k - t while it seeks its t-th pick, so that pick is the
+    # first position after the previous one whose uniform falls below column
+    # kk of the ratio table: rows advance in lock step one pick at a time.
+    lam = eig.eigenvalues if table.scale == 1.0 else eig.eigenvalues / table.scale
+    e = table.table
+    num = lam[:, None] * e[:-1, :k]
+    den = e[1:, 1:k + 1]
+    # Cells with e[m, kk] = 0 have kk beyond the first m's rank; no walk
+    # reaches them, and a ratio of 0 keeps them from ever being picked.
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    # Position c of a row is its uniform u[c], which meets m = n - c.
+    below = U[:, :n, None] < ratio[::-1]
+    after = np.arange(n)
+    last = np.full((B, 1), -1)
+    chosen = np.empty((B, k), dtype=np.intp)
+    for t in range(k):
+        hit = below[:, :, k - 1 - t] & (after > last)
+        last = hit.argmax(axis=1)[:, None]
+        if not hit[rows, last[:, 0]].all():
+            raise NumericError("eigenvalue selection failed to pick k components")
+        chosen[:, t:t + 1] = last
+
+    # Phase two on the transposed bases: vt[r] spans row r's projection.
+    # Each round selects an item per row and applies one Householder
+    # reflection in coefficient space that maps the item's coordinates onto
+    # the leading basis vector; the remaining rows then span the part of
+    # the projection orthogonal to that item and stay orthonormal.  Position
+    # c picks eigenvector m - 1 = n - 1 - c.
+    vt = eig.eigenvectors.T[n - 1 - chosen]
+    items = np.empty((B, k), dtype=np.int64)
+    for step in range(k):
+        act = vt[:, step:]
+        p = np.einsum("bjl,bjl->bl", act, act).cumsum(axis=1)
+        # searchsorted(p, u * p[-1], side="right"), capped at n - 1.
+        i = (p[:, :-1] <= U[:, n + step, None] * p[:, -1:]).sum(axis=1)
+        items[:, step] = i
+        if step == k - 1:
+            break
+        c = act[rows, :, i]
+        alpha = np.sqrt(np.einsum("bj,bj->b", c, c))
+        if not alpha.all():
+            raise NumericError("orthogonal complement collapsed during sampling")
+        c[:, 0] += np.copysign(alpha, c[:, 0])
+        beta = 2.0 / np.einsum("bj,bj->b", c, c)
+        w = np.einsum("bj,bjl->bl", c, act)
+        act -= np.einsum("bj,bl->bjl", beta[:, None] * c, w)
+        act[rows, 1:, i] = 0.0
+
+    items.sort(axis=1)
+    if not (np.diff(items, axis=1) > 0).all():
+        raise NumericError("projection sampling did not return k distinct items")
+    return items
 
 
 def sample_k_dpp(eig: EigenSystem, k: int, rng: np.random.Generator,
-                 table: ElementarySymmetricTable | None = None,
-                 stream_id=None) -> DppSample:
+                 table: ElementarySymmetricTable | None = None) -> DppSample:
     """Draw one size-k subset from the fixed-cardinality DPP given by eig.
 
     `table` may carry a precomputed elementary-symmetric table for this
     (eigenvalues, k) pair; searches reuse one table across iterations.
-    Requires at least k strictly positive eigenvalues.
+    Requires at least k strictly positive eigenvalues.  The draw uses the
+    next n + k uniforms of `rng` and equals one row of sample_k_batch.
     """
     n = eig.n
     if not 0 <= k <= n:
@@ -161,27 +188,8 @@ def sample_k_dpp(eig: EigenSystem, k: int, rng: np.random.Generator,
         raise ValueError("elementary table does not match this eigensystem")
 
     if k == 0:
-        return DppSample((), stream_id)
-
-    chosen = _select_eigenvectors(eig, k, table, rng.random(n).tolist())
-
-    # Phase two on the transposed basis: rows of vt span the projection.
-    # Each round selects an item and rotates the basis so the leading row
-    # can be discarded, leaving an orthonormal basis of the complement.
-    vt = np.ascontiguousarray(eig.eigenvectors[:, chosen].T)
-    items = []
-    for step in range(k):
-        act = vt[step:]
-        p = np.cumsum((act * act).sum(axis=0))
-        i = int(np.searchsorted(p, rng.random() * p[-1], side="right"))
-        i = min(i, n - 1)
-        items.append(i)
-        if step < k - 1:
-            _drop_coordinate(act, i)
-
-    if len(items) != k or len(set(items)) != k:
-        raise NumericError("projection sampling did not return k distinct items")
-    return DppSample(tuple(sorted(items)), stream_id)
+        return DppSample(())
+    return DppSample(sample_k_batch(eig, k, rng.random((1, n + k)), table)[0])
 
 
 def _combination_chunks(n: int, k: int, chunk: int):

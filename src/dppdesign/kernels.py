@@ -127,6 +127,19 @@ def _logdet_psd(a: np.ndarray) -> float:
     return 2.0 * float(np.log(d).sum())
 
 
+def _logdet_psd_stack(a: np.ndarray) -> np.ndarray:
+    """_logdet_psd of each matrix in a (B, k, k) stack; raises if any fails."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularSubmatrixError("singular submatrix") from None
+    d = np.diagonal(chol, axis1=1, axis2=2)
+    top = np.diagonal(a, axis1=1, axis2=2).max(axis=1)
+    if ((d * d).min(axis=1) < _PIVOT_RTOL * top).any():
+        raise SingularSubmatrixError("singular submatrix")
+    return 2.0 * np.log(d).sum(axis=1)
+
+
 def log_det_submatrix(K: KernelMatrix, indices) -> float:
     """Natural log of det(K[S]) for the index set S.
 

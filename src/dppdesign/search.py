@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .dpp import batch_log_dets, elementary_table, sample_k_dpp, _combination_chunks
+from .dpp import batch_log_dets, elementary_table, sample_k_batch, _combination_chunks
 from .errors import CombinatorialBudgetError, RankDeficientError
 from .kernels import (
     DesignSubset,
@@ -23,10 +23,13 @@ from .kernels import (
     design_subset,
     eigendecompose,
     _logdet_psd,
+    _logdet_psd_stack,
 )
 from .trace import SampleTrace
 
 _EXHAUSTIVE_BUDGET = 10**7
+# Bytes of the (B, k, n) basis stack that one sampler chunk may use.
+_SAMPLER_WORKSPACE = 2**19
 
 
 def _logdet(entries: np.ndarray, idx) -> float:
@@ -275,16 +278,25 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
 
 
 def _run_range(entries, eig, table, k, seed, lo, hi):
-    """Sample iterations lo..hi inclusive; each owns stream (seed, i)."""
+    """Sample iterations lo..hi inclusive; each owns stream (seed, i).
+
+    Iterations are drawn in chunks of B rows, sized so the sampler's basis
+    stack stays within _SAMPLER_WORKSPACE; rows are independent, so the
+    chunking never changes a draw.
+    """
     iters = np.arange(lo, hi + 1, dtype=np.int64)
     vals = np.empty(iters.size)
     subs = np.empty((iters.size, k), dtype=np.int64)
     dealer = streams.StreamDealer(seed, streams.DOMAIN_SEARCH)
-    for row, i in enumerate(range(lo, hi + 1)):
-        sample = sample_k_dpp(eig, k, dealer.rng(i), table)
-        idx = np.array(sample.indices, dtype=np.intp)
-        subs[row] = idx
-        vals[row] = _logdet_psd(entries[idx[:, None], idx])
+    B = max(1, min(iters.size, _SAMPLER_WORKSPACE // (8 * k * eig.n)))
+    U = np.empty((B, eig.n + k))
+    for a in range(0, iters.size, B):
+        b = min(a + B, iters.size)
+        u = U[:b - a]
+        for row, i in enumerate(range(lo + a, lo + b)):
+            dealer.rng(i).random(out=u[row])
+        idx = subs[a:b] = sample_k_batch(eig, k, u, table)
+        vals[a:b] = _logdet_psd_stack(entries[idx[:, :, None], idx[:, None, :]])
     return iters, vals, subs
 
 
@@ -301,7 +313,13 @@ def _split_ranges(lo: int, hi: int, parts: int):
 
 
 def _policy_fires(iterations, values, subsets, seed, policy) -> bool:
-    """Evaluate the stopping policy on the trace prefix collected so far."""
+    """Evaluate the stopping policy on the trace prefix collected so far.
+
+    A prefix the policy cannot evaluate (too few exceedances, a failed
+    fit) does not stop the run; the reason is logged at DEBUG.
+    """
+    import logging
+
     from .records import JitterConfig, extract_records, jitter_trace
     from .stopping import evaluate_latest_record, should_stop
     from .tails import fit_gpd_pot, fitted_cdf_from_gpd
@@ -315,7 +333,10 @@ def _policy_fires(iterations, values, subsets, seed, policy) -> bool:
         fitted = fitted_cdf_from_gpd(fit, jittered.values)
         row = evaluate_latest_record(records, fitted, (policy.epsilon,))
         return should_stop(policy, row)
-    except DesignError:
+    except DesignError as exc:
+        logging.getLogger(__name__).debug(
+            "stopping policy not evaluated at prefix length %d: %s", len(values), exc
+        )
         return False
 
 
@@ -331,6 +352,8 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     eig = eigendecompose(K)

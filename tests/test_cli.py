@@ -185,6 +185,10 @@ def _without(key):
     return lambda payload: json.dumps({k: v for k, v in payload.items() if k != key})
 
 
+def _with(key, value):
+    return lambda payload: json.dumps({**payload, key: value})
+
+
 def _without_parameter(key):
     def corrupt(payload):
         params = {k: v for k, v in payload["parameters"].items() if k != key}
@@ -219,6 +223,18 @@ class TestStoppingReportInputs:
         pytest.param("fit", _without_parameter("sigma"), id="fit-no-sigma"),
         pytest.param("fit", lambda payload: json.dumps({**payload, "parameters": [1.0]}),
                      id="fit-parameters-list"),
+        pytest.param("fit", _with("jitter_sigma", [1e-8]), id="fit-list-jitter_sigma"),
+        pytest.param("fit", _with("jitter_sigma", "1e-8"), id="fit-string-jitter_sigma"),
+        pytest.param("fit", _with("jitter_sigma", None), id="fit-null-jitter_sigma"),
+        pytest.param("fit", _with("jitter_sigma", -1.0), id="fit-negative-jitter_sigma"),
+        pytest.param("fit", _with("jitter_sigma", True), id="fit-bool-jitter_sigma"),
+        pytest.param("fit", _with("jitter_seed", [0]), id="fit-list-jitter_seed"),
+        pytest.param("fit", _with("jitter_seed", "0"), id="fit-string-jitter_seed"),
+        pytest.param("fit", _with("jitter_seed", None), id="fit-null-jitter_seed"),
+        pytest.param("fit", _with("jitter_seed", 0.5), id="fit-float-jitter_seed"),
+        pytest.param("fit", _with("shift", None), id="fit-null-shift"),
+        pytest.param("fit", _with("shift", "0"), id="fit-string-shift"),
+        pytest.param("fit", _with("threshold", [0.0]), id="fit-list-threshold"),
         pytest.param("reference", None, id="reference-unreadable"),
         pytest.param("reference", lambda payload: "not json", id="reference-not-json"),
         pytest.param("reference", lambda payload: json.dumps([payload]),

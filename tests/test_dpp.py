@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from dppdesign import (
     CombinatorialBudgetError,
+    EigenSystem,
     KernelMatrix,
+    NumericError,
     RankDeficientError,
     eigendecompose,
     elementary_table,
     exact_k_dpp_pmf,
+    sample_k_batch,
     sample_k_dpp,
+    synth_kernel,
 )
 from dppdesign.streams import DOMAIN_SEARCH, StreamDealer, stream
 from conftest import random_pd_kernel
@@ -161,6 +165,86 @@ class TestSampler:
             for j in sample_k_dpp(eig, 2, dealer.rng(i), table).indices:
                 counts[j] += 1
         assert np.abs(counts / n - marg).max() < 0.01
+
+
+def loop_draw(eig, k, table, rng):
+    """The per-draw loop the batched sampler replaced: the reference."""
+    n = eig.n
+    e = table.table.tolist()
+    lam = (eig.eigenvalues / table.scale).tolist()
+    u = rng.random(n).tolist()
+    chosen, kk = [], k
+    for m in range(n, 0, -1):
+        if kk and u[n - m] < lam[m - 1] * e[m - 1][kk - 1] / e[m][kk]:
+            chosen.append(m - 1)
+            kk -= 1
+    vt = np.ascontiguousarray(eig.eigenvectors[:, chosen].T)
+    items = []
+    for step in range(k):
+        act = vt[step:]
+        p = np.cumsum((act * act).sum(axis=0))
+        i = min(int(np.searchsorted(p, rng.random() * p[-1], side="right")), n - 1)
+        items.append(i)
+        if step == k - 1:
+            break
+        c = act[:, i].copy()
+        c[0] += math.copysign(math.sqrt(c @ c), c[0])
+        act -= (2.0 / (c @ c) * c)[:, None] * (c @ act)[None, :]
+        act[1:, i] = 0.0
+    return tuple(sorted(items))
+
+
+def batch_rows(eig, k, table, seed, lo, hi, cuts=()):
+    """sample_k_batch over iterations lo..hi, one chunk per pair of cuts."""
+    dealer = StreamDealer(seed, DOMAIN_SEARCH)
+    U = np.empty((hi - lo + 1, eig.n + k))
+    for row, i in enumerate(range(lo, hi + 1)):
+        dealer.rng(i).random(out=U[row])
+    edges = [0, *cuts, len(U)]
+    return np.concatenate([
+        sample_k_batch(eig, k, U[a:b], table) for a, b in zip(edges, edges[1:])
+    ])
+
+
+def exactly_k_positive(n, k, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    w = np.zeros(n)
+    w[:k] = np.sort(np.random.default_rng(seed + 1).uniform(0.5, 3.0, k))[::-1]
+    return EigenSystem(w, q)
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize("case", ["criterion7", "rescaled", "k_positive"])
+    def test_rows_equal_single_draws(self, case):
+        k = 10 if case != "k_positive" else 4
+        if case == "k_positive":
+            eig = exactly_k_positive(12, k, seed=3)
+        else:
+            K = synth_kernel(30, 2.0, 1e-6, seed=7)
+            if case == "rescaled":
+                K = KernelMatrix(K.entries * 1e40)
+            eig = eigendecompose(K)
+        table = elementary_table(eig.eigenvalues, k)
+        assert (table.scale != 1.0) == (case == "rescaled")
+        seed, hi = 5, 600
+        whole = batch_rows(eig, k, table, seed, 1, hi)
+        assert whole.shape == (hi, k) and whole.dtype == np.int64
+        for cuts in [(1, 2, 37), (218, 436), (5, 299, 300, 599)]:
+            assert np.array_equal(batch_rows(eig, k, table, seed, 1, hi, cuts), whole)
+        singles = [sample_k_dpp(eig, k, stream(seed, DOMAIN_SEARCH, i), table).indices
+                   for i in range(1, hi + 1)]
+        loops = [loop_draw(eig, k, table, stream(seed, DOMAIN_SEARCH, i))
+                 for i in range(1, hi + 1)]
+        assert [tuple(r) for r in whole.tolist()] == singles == loops
+
+    def test_unfinished_selection_raises(self):
+        # A table of rank 1 cannot supply two eigenvectors: every degree-2
+        # ratio divides by e_2 = 0, which must end in NumericError rather
+        # than in a NaN comparison that silently picks nothing.
+        eig = eigendecompose(KernelMatrix(np.eye(3)))
+        table = elementary_table([1.0, 0.0, 0.0], 2)
+        with pytest.raises(NumericError, match="eigenvalue selection"):
+            sample_k_batch(eig, 2, np.full((4, 5), 0.5), table)
 
 
 class TestExactPmf:

@@ -285,6 +285,18 @@ class TestOnlinePolicyIntegration:
         assert trace.n % 500 == 0
         assert trace.n < 20_000
 
+    def test_unevaluable_check_logged_at_debug(self, caplog):
+        import dppdesign as d
+
+        K = d.synth_kernel(10, 0.5, 1e-6, seed=2)
+        policy = StoppingPolicy(check_every=10)
+        with caplog.at_level("DEBUG", logger="dppdesign.search"):
+            trace = d.dpp_search(K, 3, 20, seed=3, stop=policy, workers=1)
+        assert trace.stopped_at is None and trace.n == 20
+        messages = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+        assert len(messages) == 2
+        assert "prefix length 10:" in messages[0] and "prefix length 20:" in messages[1]
+
     def test_stopped_trace_is_prefix_of_full_run(self):
         import dppdesign as d
 

@@ -62,6 +62,7 @@ from .search import (
 )
 from .stopping import (
     DEFAULT_EPSILONS,
+    PolicyCheck,
     StoppingPolicy,
     StoppingReport,
     StoppingRow,
@@ -71,6 +72,7 @@ from .stopping import (
     record_increment_prob,
     should_stop,
     wait_tail_prob,
+    write_policy_csv,
     write_stopping_csv,
 )
 from .tails import (

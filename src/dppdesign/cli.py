@@ -32,7 +32,13 @@ from .search import (
     greedy_backward,
     greedy_forward,
 )
-from .stopping import DEFAULT_EPSILONS, StoppingPolicy, build_stopping_report, write_stopping_csv
+from .stopping import (
+    DEFAULT_EPSILONS,
+    StoppingPolicy,
+    build_stopping_report,
+    write_policy_csv,
+    write_stopping_csv,
+)
 from .tails import (
     fit_censored_weibull,
     fit_comparators,
@@ -215,6 +221,7 @@ def cmd_solve(args) -> int:
     trace = METHODS[args.method](K, args, policy)
     best = best_subset(K, trace)
     stopped_at = getattr(trace, "stopped_at", None)
+    checks = getattr(trace, "policy_checks", None)
     wall = time.perf_counter() - t0
 
     config_payload = {
@@ -231,13 +238,17 @@ def cmd_solve(args) -> int:
             "seed": args.seed, "run_id": run_id,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    meta = {
+        "run_id": run_id, "config": config_payload,
+        "version": __version__, "workers": args.workers,
+        "stopped_at": stopped_at, "wall_time_s": wall,
+        "timestamp": time.time(),
+    }
+    if checks is not None:
+        write_policy_csv(checks, out / "policy.csv")
+        meta["policy_checks"] = len(checks)
     with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "run_id": run_id, "config": config_payload,
-            "version": __version__, "workers": args.workers,
-            "stopped_at": stopped_at, "wall_time_s": wall,
-            "timestamp": time.time(),
-        }, fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"{args.method}: log_det {best.log_det:.6f} at {list(best.indices)}")
     if stopped_at is not None:

@@ -39,13 +39,16 @@ class ElementarySymmetricTable:
     When overflow forces rescaling by `scale`, table[m][j] holds the
     polynomial of the rescaled eigenvalues and value(m, j) restores the
     true magnitude.  The acceptance ratios used in sampling are invariant
-    under that rescaling.
+    under that rescaling; ratio[m-1, kk-1] holds
+    lam_m * e[m-1, kk-1] / e[m, kk] for the rescaled eigenvalues.
     """
 
-    def __init__(self, table: np.ndarray, scale: float):
+    def __init__(self, table: np.ndarray, scale: float, ratio: np.ndarray):
         self.table = table
         self.scale = scale
+        self.ratio = ratio
         table.setflags(write=False)
+        ratio.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -94,7 +97,12 @@ def elementary_table(eigenvalues, k: int) -> ElementarySymmetricTable:
     e[:, 0] = 1.0
     for m in range(1, n + 1):
         e[m, 1:] = e[m - 1, 1:] + lam[m - 1] * e[m - 1, :-1]
-    return ElementarySymmetricTable(e, scale)
+    num = lam[:, None] * e[:-1, :k]
+    den = e[1:, 1:]
+    # Cells with e[m, kk] = 0 have kk beyond the first m's rank; no walk
+    # reaches them, and a ratio of 0 keeps them from ever being picked.
+    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return ElementarySymmetricTable(e, scale, ratio)
 
 
 def sample_k_batch(eig: EigenSystem, k: int, U: np.ndarray,
@@ -114,16 +122,9 @@ def sample_k_batch(eig: EigenSystem, k: int, U: np.ndarray,
     # pick keeps m when u[n - m] < lam[m-1] * e[m-1, kk-1] / e[m, kk].  Every
     # row has kk = k - t while it seeks its t-th pick, so that pick is the
     # first position after the previous one whose uniform falls below column
-    # kk of the ratio table: rows advance in lock step one pick at a time.
-    lam = eig.eigenvalues if table.scale == 1.0 else eig.eigenvalues / table.scale
-    e = table.table
-    num = lam[:, None] * e[:-1, :k]
-    den = e[1:, 1:k + 1]
-    # Cells with e[m, kk] = 0 have kk beyond the first m's rank; no walk
-    # reaches them, and a ratio of 0 keeps them from ever being picked.
-    ratio = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    # kk of the table's ratio: rows advance in lock step one pick at a time.
     # Position c of a row is its uniform u[c], which meets m = n - c.
-    below = U[:, :n, None] < ratio[::-1]
+    below = U[:, :n, None] < table.ratio[::-1, :k]
     after = np.arange(n)
     last = np.full((B, 1), -1)
     chosen = np.empty((B, k), dtype=np.intp)

@@ -24,7 +24,7 @@ from scipy import integrate
 
 from . import streams
 from .errors import TieError
-from .trace import SampleTrace
+from .trace import SampleTrace, record_flags
 
 _STIRLING_MAX_N = 170
 # Alternating binomial sums cancel catastrophically in floats; evaluate
@@ -81,6 +81,14 @@ class RecordSequence:
         return int(np.searchsorted(self.times, n, side="right"))
 
 
+def jitter_noise(cfg: JitterConfig):
+    """The jitter noise of cfg as a function of a count: noise(m) returns
+    the next m values of the stream, so successive calls concatenate to
+    the noise one call would draw for the whole sequence."""
+    rng = streams.stream(cfg.seed, streams.DOMAIN_JITTER, 0)
+    return lambda m: rng.normal(0.0, cfg.sigma, m)
+
+
 def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
     """Add i.i.d. Gaussian(0, sigma^2) noise to every trace value.
 
@@ -88,32 +96,35 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
     prefix of a trace gives a prefix of the jittered trace.  Original
     values are retained in raw_values.
     """
-    noise = streams.stream(cfg.seed, streams.DOMAIN_JITTER, 0).normal(
-        0.0, cfg.sigma, trace.n
-    )
     return SampleTrace(
         trace.iterations,
-        trace.values + noise,
+        trace.values + jitter_noise(cfg)(trace.n),
         trace.subsets,
         raw_values=trace.values,
     )
 
 
-def extract_records(trace: SampleTrace) -> RecordSequence:
-    """Strict running maxima of a trace with pairwise-distinct values."""
-    vals = trace.values
-    if np.unique(vals).size != vals.size:
+def records_from_values(values: np.ndarray, iterations: np.ndarray,
+                        subsets=None) -> RecordSequence:
+    """Strict running maxima of pairwise-distinct values observed at the
+    given iterations; the records carry their subsets when subsets is
+    given, else none."""
+    if np.unique(values).size != values.size:
         raise TieError("unjittered tie: jitter the trace before extracting records")
-    flags = trace.record_flags()
-    idx = np.flatnonzero(flags)
-    iqr = float(np.quantile(vals, 0.75) - np.quantile(vals, 0.25))
+    idx = np.flatnonzero(record_flags(values))
+    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
     return RecordSequence(
-        vals[idx],
-        trace.iterations[idx],
-        tuple(trace.subsets[i] for i in idx),
-        trace.n,
+        values[idx],
+        iterations[idx],
+        None if subsets is None else tuple(subsets[i] for i in idx),
+        values.size,
         iqr,
     )
+
+
+def extract_records(trace: SampleTrace) -> RecordSequence:
+    """Strict running maxima of a trace with pairwise-distinct values."""
+    return records_from_values(trace.values, trace.iterations, trace.subsets)
 
 
 def expected_record_count(n: int):

@@ -7,6 +7,7 @@ the best objective seen.  Ties break toward the lexicographically
 smallest subset everywhere so results are reproducible.
 """
 
+import logging
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import streams
 from .dpp import batch_log_dets, elementary_table, sample_k_batch, _combination_chunks
-from .errors import CombinatorialBudgetError, RankDeficientError
+from .errors import CombinatorialBudgetError, DesignError, RankDeficientError
 from .kernels import (
     DesignSubset,
     KernelMatrix,
@@ -25,6 +26,9 @@ from .kernels import (
     _logdet_psd,
     _logdet_psd_stack,
 )
+from .records import JitterConfig, jitter_noise, records_from_values
+from .stopping import PolicyCheck, evaluate_latest_record, should_stop
+from .tails import fit_gpd_pot, fitted_cdf_from_gpd
 from .trace import SampleTrace
 
 _EXHAUSTIVE_BUDGET = 10**7
@@ -312,32 +316,49 @@ def _split_ranges(lo: int, hi: int, parts: int):
         start += size
 
 
-def _policy_fires(iterations, values, subsets, seed, policy) -> bool:
-    """Evaluate the stopping policy on the trace prefix collected so far.
+class _PolicyState:
+    """Running state of a stopping policy over one search.
 
-    A prefix the policy cannot evaluate (too few exceedances, a failed
-    fit) does not stop the run; the reason is logged at DEBUG.
+    The jittered values persist across checks: each check draws jitter for
+    its new block only, from the stream jitter_trace uses, and evaluates
+    the policy on values alone.  A prefix the policy cannot evaluate (too
+    few exceedances, a failed fit) does not stop the run; the reason is
+    logged at DEBUG and kept in the check's row.
     """
-    import logging
 
-    from .records import JitterConfig, extract_records, jitter_trace
-    from .stopping import evaluate_latest_record, should_stop
-    from .tails import fit_gpd_pot, fitted_cdf_from_gpd
-    from .errors import DesignError
+    def __init__(self, policy, seed: int):
+        self.policy = policy
+        self.checks = []
+        self._noise = jitter_noise(JitterConfig(seed=seed))
+        self._jittered = np.empty(0)
 
-    try:
-        prefix = SampleTrace(iterations, values, subsets)
-        jittered = jitter_trace(prefix, JitterConfig(seed=seed))
-        records = extract_records(jittered)
-        fit = fit_gpd_pot(jittered.values, 0.9)
-        fitted = fitted_cdf_from_gpd(fit, jittered.values)
-        row = evaluate_latest_record(records, fitted, (policy.epsilon,))
-        return should_stop(policy, row)
-    except DesignError as exc:
-        logging.getLogger(__name__).debug(
-            "stopping policy not evaluated at prefix length %d: %s", len(values), exc
-        )
-        return False
+    def fires(self, block: np.ndarray) -> bool:
+        """Append the next block of raw values and check the policy on the
+        whole prefix."""
+        j = self._jittered = np.concatenate([self._jittered, block + self._noise(block.size)])
+        fit = row = None
+        try:
+            records = records_from_values(j, np.arange(1, j.size + 1))
+            fit = fit_gpd_pot(j, 0.9)
+            row = evaluate_latest_record(records, fitted_cdf_from_gpd(fit, j),
+                                         (self.policy.epsilon,))
+            stop = should_stop(self.policy, row)
+            decision, reason = ("stop" if stop else "continue"), ""
+        except DesignError as exc:
+            logging.getLogger(__name__).debug(
+                "stopping policy not evaluated at prefix length %d: %s", j.size, exc
+            )
+            stop, decision, reason = False, "unevaluable", str(exc)
+        self.checks.append(PolicyCheck(
+            iteration=j.size,
+            threshold=None if fit is None else fit.mu,
+            xi=None if fit is None else fit.xi,
+            p_eps=None if row is None else row.eps_probs[self.policy.epsilon],
+            expected_wait=None if row is None else row.expected_wait,
+            decision=decision,
+            reason=reason,
+        ))
+        return stop
 
 
 def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
@@ -348,7 +369,9 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     trace is identical for any worker count and any partitioning.  When a
     stopping policy is supplied it is evaluated on the accumulated trace
     every `check_every` iterations and the trace is truncated at the
-    checkpoint where the policy fires.
+    checkpoint where the policy fires.  The returned trace carries
+    `stopped_at` (None if the policy never fired or none was given) and
+    `policy_checks`: one PolicyCheck per evaluation, None without a policy.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
@@ -365,6 +388,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     entries = K.entries
 
     block = stop.check_every if stop is not None else max_iters
+    state = None if stop is None else _PolicyState(stop, seed)
     all_iters, all_vals, all_subs = [], [], []
     stopped_at = None
 
@@ -385,9 +409,8 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
                 all_iters.append(iters)
                 all_vals.append(vals)
                 all_subs.append(subs)
-            if stop is not None and _policy_fires(
-                np.concatenate(all_iters), np.concatenate(all_vals),
-                np.concatenate(all_subs).tolist(), seed, stop,
+            if state is not None and state.fires(
+                np.concatenate([vals for _, vals, _ in results])
             ):
                 stopped_at = hi
                 break
@@ -402,6 +425,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         np.concatenate(all_subs).tolist(),
     )
     trace.stopped_at = stopped_at
+    trace.policy_checks = None if state is None else tuple(state.checks)
     return trace
 
 

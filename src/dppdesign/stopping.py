@@ -7,7 +7,9 @@ geometric with success probability 1 - F(r).  A search should stop when
 a meaningful improvement has become unlikely and the expected wait long.
 """
 
+import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,31 @@ class StoppingPolicy:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if not self.max_expected_wait > 0:
             raise ValueError("max_expected_wait must be positive")
-        if self.check_every < 1:
-            raise ValueError("check_every must be a positive integer")
+        if (isinstance(self.check_every, bool)
+                or not isinstance(self.check_every, numbers.Integral)
+                or self.check_every < 1):
+            raise ValueError(
+                f"check_every must be a positive integer, got {self.check_every!r}"
+            )
+
+
+@dataclass(frozen=True)
+class PolicyCheck:
+    """One evaluation of a stopping policy during a search.
+
+    iteration is the prefix length checked; threshold (the GPD threshold
+    mu), xi, p_eps and expected_wait are None where the check failed
+    before computing them.  decision is "stop" or "continue", or
+    "unevaluable" with the failure in reason.
+    """
+
+    iteration: int
+    threshold: float | None
+    xi: float | None
+    p_eps: float | None
+    expected_wait: float | None
+    decision: str
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -223,3 +248,21 @@ def write_stopping_csv(report: StoppingReport, path) -> None:
                 f"{row.n_sims},{row.record:.17g},{probs},"
                 f"{_fmt_prob(row.beat_reference)},{wait}\n"
             )
+
+
+POLICY_LOG_HEADER = ("iteration", "threshold", "xi", "p_eps", "expected_wait",
+                     "decision", "reason")
+
+
+def write_policy_csv(checks, path) -> None:
+    """One row per policy check; empty cells where a failed check computed
+    nothing, "inf" for an infinite expected wait."""
+    def cell(x):
+        return "" if x is None else "inf" if x == math.inf else f"{x:.17g}"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(POLICY_LOG_HEADER)
+        for c in checks:
+            out.writerow([c.iteration, cell(c.threshold), cell(c.xi), cell(c.p_eps),
+                          cell(c.expected_wait), c.decision, c.reason])

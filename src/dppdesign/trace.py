@@ -12,6 +12,17 @@ from .errors import InputFormatError
 TRACE_HEADER = "iteration,log_det,is_record,subset"
 
 
+def record_flags(values: np.ndarray) -> np.ndarray:
+    """True where a value of a nonempty sequence strictly exceeds every
+    earlier value."""
+    flags = np.empty(values.size, dtype=bool)
+    flags[0] = True
+    if values.size > 1:
+        running = np.maximum.accumulate(values)
+        flags[1:] = values[1:] > running[:-1]
+    return flags
+
+
 class SampleTrace:
     """Ordered objective evaluations; iterations start at 1 and increase."""
 
@@ -44,15 +55,6 @@ class SampleTrace:
     def best_so_far(self) -> np.ndarray:
         return np.maximum.accumulate(self.values)
 
-    def record_flags(self) -> np.ndarray:
-        """True where the value strictly exceeds every earlier value."""
-        flags = np.empty(self.n, dtype=bool)
-        flags[0] = True
-        if self.n > 1:
-            running = np.maximum.accumulate(self.values)
-            flags[1:] = self.values[1:] > running[:-1]
-        return flags
-
     def best(self):
         """(iteration, value, subset) of the first attainment of the maximum."""
         i = int(np.argmax(self.values))
@@ -63,7 +65,7 @@ class SampleTrace:
 
 
 def write_trace(trace: SampleTrace, path) -> None:
-    flags = trace.record_flags()
+    flags = record_flags(trace.values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(TRACE_HEADER + "\n")
         for it, val, flag, sub in zip(

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from dppdesign.cli import main
+from dppdesign.stopping import POLICY_LOG_HEADER
 from dppdesign.trace import TRACE_HEADER, read_trace
 
 
@@ -56,6 +58,9 @@ class TestSolve:
         meta = json.loads((out / "run_meta.json").read_text())
         best = json.loads((out / "best.json").read_text())
         assert meta["run_id"] == best["run_id"]
+        # no policy ran, so no audit trail
+        assert "policy_checks" not in meta
+        assert not (out / "policy.csv").exists()
         assert best["log_det"] == pytest.approx(trace.best_so_far[-1])
 
     def test_idempotent_outputs(self, tmp_path, capsys):
@@ -104,9 +109,17 @@ class TestSolve:
 
     @staticmethod
     def stopped_at_checkpoint(out, max_iters):
-        stopped = json.loads((out / "run_meta.json").read_text())["stopped_at"]
+        meta = json.loads((out / "run_meta.json").read_text())
+        stopped = meta["stopped_at"]
         assert stopped is None or stopped % 500 == 0
         assert read_trace(out / "trace.csv").n == (stopped or max_iters)
+        # policy.csv holds one row per check, the last at the trace's end
+        with open(out / "policy.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(POLICY_LOG_HEADER)
+        assert len(rows) - 1 == meta["policy_checks"] == (stopped or max_iters) // 500
+        assert [int(r[0]) for r in rows[1:]] == list(range(500, (stopped or max_iters) + 1, 500))
+        assert [r[5] == "stop" for r in rows[1:]] == [False] * (len(rows) - 2) + [stopped is not None]
         return stopped
 
     def test_stop_flags(self, tmp_path, capsys):

@@ -17,7 +17,15 @@ from dppdesign import (
     wait_tail_prob,
     write_stopping_csv,
 )
-from dppdesign.stopping import StoppingRow, evaluate_latest_record
+from dppdesign.errors import DesignError
+from dppdesign.records import JitterConfig, jitter_noise, jitter_trace
+from dppdesign.search import _PolicyState
+from dppdesign.stopping import (
+    PolicyCheck,
+    StoppingRow,
+    evaluate_latest_record,
+    write_policy_csv,
+)
 from dppdesign.trace import SampleTrace
 
 
@@ -140,6 +148,10 @@ class TestShouldStop:
             StoppingPolicy(delta=1.0)
         with pytest.raises(ValueError):
             StoppingPolicy(check_every=0)
+        for bad in (2.5, True, "10", 1000.0):
+            with pytest.raises(ValueError, match="check_every"):
+                StoppingPolicy(check_every=bad)
+        assert StoppingPolicy(check_every=np.int64(7)).check_every == 7
 
 
 class TestBuildReport:
@@ -309,3 +321,95 @@ class TestOnlinePolicyIntegration:
         m = stopped.n
         assert np.array_equal(stopped.values, full.values[:m])
         assert stopped.subsets == full.subsets[:m]
+
+
+def from_scratch_check(full, m, seed, policy):
+    """The policy check dpp_search made before its running state, kept as
+    the reference: rebuild the prefix trace, jitter it whole, extract its
+    records, fit and decide.  Returns the PolicyCheck the state must
+    produce at prefix length m."""
+    try:
+        prefix = SampleTrace(full.iterations[:m], full.values[:m], full.subsets[:m])
+        jittered = jitter_trace(prefix, JitterConfig(seed=seed))
+        records = extract_records(jittered)
+        fit = fit_gpd_pot(jittered.values, 0.9)
+        fitted = fitted_cdf_from_gpd(fit, jittered.values)
+        row = evaluate_latest_record(records, fitted, (policy.epsilon,))
+        stop = should_stop(policy, row)
+    except DesignError as exc:
+        return PolicyCheck(m, None, None, None, None, "unevaluable", str(exc))
+    return PolicyCheck(m, fit.mu, fit.xi, row.eps_probs[policy.epsilon],
+                       row.expected_wait, "stop" if stop else "continue")
+
+
+# name -> (kernel args, k, iterations, seed, policy, the decisions expected)
+POLICY_CASES = {
+    # a rank-structured kernel whose lax policy fires
+    "plateau": ((12, 2.0, 1e-6, 1), 4, 20_000, 0,
+                StoppingPolicy(epsilon=0.001, delta=0.5, max_expected_wait=50.0,
+                               check_every=500), {"continue", "stop"}),
+    # too few exceedances at every check
+    "unevaluable": ((10, 0.5, 1e-6, 2), 3, 20, 3, StoppingPolicy(check_every=10),
+                    {"unevaluable"}),
+    # the acceptance criterion-7 kernel with the default policy
+    "criterion-7": ((30, 2.0, 1e-6, 7), 10, 10_000, 0,
+                    StoppingPolicy(check_every=1000), {"continue"}),
+}
+
+
+class TestIncrementalPolicy:
+    @pytest.mark.parametrize("case", sorted(POLICY_CASES))
+    def test_matches_from_scratch_check_at_every_checkpoint(self, case):
+        import dppdesign as d
+
+        kernel, k, iters, seed, policy, decisions = POLICY_CASES[case]
+        K = d.synth_kernel(*kernel[:3], seed=kernel[3])
+        full = d.dpp_search(K, k, iters, seed=seed, workers=1)
+        state = _PolicyState(policy, seed)
+        c = policy.check_every
+        for m in range(c, iters + 1, c):
+            fires = state.fires(full.values[m - c:m])
+            expected = from_scratch_check(full, m, seed, policy)
+            assert state.checks[-1] == expected
+            assert fires == (expected.decision == "stop")
+        assert {check.decision for check in state.checks} == decisions
+
+        # the search stops at the first firing checkpoint, with those checks
+        stopped = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=1)
+        fired = [check.iteration for check in state.checks if check.decision == "stop"]
+        assert stopped.stopped_at == (fired[0] if fired else None)
+        assert stopped.policy_checks == tuple(state.checks[:stopped.n // c])
+
+    def test_blockwise_noise_equals_one_shot_jitter(self):
+        values = np.random.default_rng(0).normal(size=3000)
+        trace = SampleTrace(range(1, 3001), values, [(0,)] * 3000)
+        cfg = JitterConfig(seed=5)
+        noise = jitter_noise(cfg)
+        cuts = [0, 1, 2, 39, 1000, 2999, 3000]
+        blocks = [values[a:b] + noise(b - a) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(blocks), jitter_trace(trace, cfg).values)
+
+    def test_policy_run_is_worker_invariant(self):
+        import dppdesign as d
+
+        kernel, k, iters, seed, policy, _ = POLICY_CASES["plateau"]
+        K = d.synth_kernel(*kernel[:3], seed=kernel[3])
+        one, two = (d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=w)
+                    for w in (1, 2))
+        assert one.stopped_at is not None and one.stopped_at == two.stopped_at
+        assert np.array_equal(one.iterations, two.iterations)
+        assert np.array_equal(one.values, two.values)
+        assert one.subsets == two.subsets
+        assert one.policy_checks == two.policy_checks
+
+    def test_policy_csv_rows(self, tmp_path):
+        checks = [PolicyCheck(10, None, None, None, None, "unevaluable",
+                              "3 exceedances above threshold, need >= 30"),
+                  PolicyCheck(20, 1.5, -0.25, 0.125, math.inf, "stop")]
+        path = tmp_path / "policy.csv"
+        write_policy_csv(checks, path)
+        assert path.read_text().splitlines() == [
+            "iteration,threshold,xi,p_eps,expected_wait,decision,reason",
+            '10,,,,,unevaluable,"3 exceedances above threshold, need >= 30"',
+            "20,1.5,-0.25,0.125,inf,stop,",
+        ]

@@ -5,6 +5,20 @@ and backward), one-swap exchange refinement, a genetic algorithm, and the
 sampling search that repeatedly draws fixed-size DPP subsets and tracks
 the best objective seen.  Ties break toward the lexicographically
 smallest subset everywhere so results are reproducible.
+
+Forward, backward and exchange score candidates by rank-one determinant
+updates but choose exactly as if each candidate's sorted index set had
+been scored by _logdet_psd: forward adds the lowest index among ties,
+backward deletes the highest, and exchange takes the first (removed,
+added) pair in index order and accepts it only if its exact gain is
+positive.  The candidates whose rank-one score lies within a gap of the
+best (_RESCORE_RTOL times the kernel's condition estimate, far above the
+updates' rounding) are scored again by _logdet_psd and compared by that
+rule; a lone candidate in the gap needs no re-score, except in exchange,
+which needs its exact gain.  Rank-one scores are used only when _certify
+shows that no principal submatrix can fail _logdet_psd's pivot check;
+otherwise every candidate is scored exactly, so SingularSubmatrixError
+arises on the same inputs as under per-candidate scoring.
 """
 
 import logging
@@ -19,11 +33,11 @@ from . import streams
 from .dpp import batch_log_dets, elementary_table, sample_k_batch, _combination_chunks
 from .errors import CombinatorialBudgetError, DesignError, RankDeficientError
 from .kernels import (
+    _PIVOT_RTOL,
     DesignSubset,
     KernelMatrix,
     design_subset,
     eigendecompose,
-    _logdet_psd,
     _logdet_psd_stack,
 )
 from .records import JitterConfig, jitter_noise, records_from_values
@@ -34,49 +48,148 @@ from .trace import SampleTrace
 _EXHAUSTIVE_BUDGET = 10**7
 # Bytes of the (B, k, n) basis stack that one sampler chunk may use.
 _SAMPLER_WORKSPACE = 2**19
+# Bytes of candidate submatrices that one exact scoring call may build.
+_RESCORE_WORKSPACE = 2**18
+# A kernel certifies its principal submatrices when every pivot of its
+# index-order Cholesky factor exceeds this multiple of _PIVOT_RTOL times
+# its largest diagonal entry.
+_CERTIFY_MARGIN = 1e3
+# Rank-one scores within this many units of the certified condition
+# estimate (largest diagonal entry over smallest pivot) of the best, in
+# log-determinant, are re-scored exactly.
+_RESCORE_RTOL = 1e-10
+# Deletions greedy_backward accumulates before applying them to its
+# inverse in one matrix product.
+_DOWNDATE_BLOCK = 32
 
 
-def _logdet(entries: np.ndarray, idx) -> float:
-    return _logdet_psd(entries[np.ix_(idx, idx)])
+def _certify(a: np.ndarray):
+    """Lower Cholesky factor of a and the re-score tolerance, or
+    (None, None) when a principal submatrix of a may fail _logdet_psd.
+
+    In a principal submatrix taken in index order, the pivot of site t is
+    its residual variance given some of the sites before it, so it is at
+    least t's pivot in the factor of a, which conditions on all of them.
+    Pivots above the margin therefore certify that _logdet_psd accepts
+    every principal submatrix of a.
+    """
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None, None
+    pivot = float((np.diagonal(chol) ** 2).min())
+    top = float(a.diagonal().max())
+    if not pivot >= _CERTIFY_MARGIN * _PIVOT_RTOL * top:
+        return None, None
+    return chol, _RESCORE_RTOL * top / pivot
+
+
+def _exact_scores(entries: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """_logdet_psd of entries[T, T] for each increasing row T of sets."""
+    m, j = sets.shape
+    step = max(1, _RESCORE_WORKSPACE // (8 * j * j))
+    return np.concatenate([
+        _logdet_psd_stack(entries[c[:, :, None], c[:, None, :]])
+        for c in (sets[a:a + step] for a in range(0, m, step))
+    ])
+
+
+def _near(ratio: np.ndarray, tol: float) -> np.ndarray:
+    """Positions whose determinant ratio is within tol (in log) of the best."""
+    top = ratio.max()
+    return np.flatnonzero(ratio >= top * math.exp(-tol)) if top > 0 else np.arange(ratio.size)
+
+
+def _drop_each(kept: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """One row per position p: kept without its p-th entry."""
+    cols = np.arange(kept.size - 1)
+    return kept[cols + (cols >= pos[:, None])]
 
 
 def greedy_forward(K: KernelMatrix, k: int) -> DesignSubset:
-    """Grow a subset one site at a time, maximizing the objective each step."""
+    """Grow a subset one site at a time, maximizing the objective each step.
+
+    Ties take the lowest index.  The gain of site s is the residual
+    variance d2[s] of s given the chosen sites, kept by one incremental
+    Cholesky row per pick (Chen, Zhang & Zhou 2018): O(n k^2) in total.
+    """
     n = K.dim
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     entries = K.entries
-    chosen: list = []
-    for _ in range(k):
-        best_val, best_s = -np.inf, None
-        for s in range(n):
-            if s in chosen:
-                continue
-            val = _logdet(entries, sorted(chosen + [s]))
-            if val > best_val:
-                best_val, best_s = val, s
-        chosen.append(best_s)
-    return design_subset(K, sorted(chosen))
+    _, tol = _certify(entries)
+    c = np.empty((k, n))
+    d2 = entries.diagonal().copy()
+    free = np.ones(n, dtype=bool)
+    chosen = np.empty(0, dtype=np.intp)
+    for j in range(k):
+        cands = np.flatnonzero(free)
+        if tol is not None:
+            cands = cands[_near(d2[cands], tol)]
+        if cands.size > 1:
+            sets = np.sort(np.column_stack([np.broadcast_to(chosen, (cands.size, j)), cands]), axis=1)
+            cands = cands[[int(np.argmax(_exact_scores(entries, sets)))]]
+        s = int(cands[0])
+        chosen = np.append(chosen, s)
+        free[s] = False
+        if tol is not None and d2[s] > 0:
+            c[j] = (entries[s] - c[:j, s] @ c[:j]) / math.sqrt(d2[s])
+            d2 -= c[j] * c[j]
+        else:
+            tol = None  # rounding ate the residual: score exactly from here
+    return design_subset(K, chosen)
+
+
+def _deletion(entries: np.ndarray, kept: np.ndarray, pos: np.ndarray) -> int:
+    """The position in pos whose deletion from kept leaves the largest
+    exact log-det; ties take the highest position."""
+    if pos.size == 1:
+        return int(pos[0])
+    vals = _exact_scores(entries, _drop_each(kept, pos))
+    return int(pos[vals.size - 1 - int(np.argmax(vals[::-1]))])
 
 
 def greedy_backward(K: KernelMatrix, k: int) -> DesignSubset:
     """Start from all sites and repeatedly delete the least valuable one.
 
     Ties remove the highest index, so the kept set is lexicographically
-    smallest.
+    smallest.  det(K[S - l]) = det(K[S]) * A[l, l] with A = K[S]^-1, so
+    the deletion is the argmax of A's diagonal.  Each deletion downdates
+    A by one Schur complement: the diagonal at once, the rest in blocks
+    of _DOWNDATE_BLOCK deletions applied as one matrix product.  O(n^3)
+    in total.
     """
     n = K.dim
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     entries = K.entries
-    kept = list(range(n))
-    for _ in range(n - k):
-        best_val, best_l = -np.inf, None
-        for l in kept:
-            val = _logdet(entries, [i for i in kept if i != l])
-            if val > best_val or (val == best_val and l > best_l):
-                best_val, best_l = val, l
-        kept.remove(best_l)
+    kept = np.arange(n)
+    chol, tol = _certify(entries)
+    while chol is None and kept.size > k:
+        kept = np.delete(kept, _deletion(entries, kept, np.arange(kept.size)))
+        chol, tol = _certify(entries[np.ix_(kept, kept)])
+    if kept.size > k:
+        half = np.linalg.solve(chol, np.eye(kept.size))
+        inv = half.T @ half
+        del chol, half
+    while kept.size > k:
+        # Within a block, inv stays fixed and the deletions so far are the
+        # columns of cols over pivots piv: A = inv - cols diag(1/piv) cols'.
+        steps = min(_DOWNDATE_BLOCK, kept.size - k)
+        cols, piv = np.empty((kept.size, steps)), np.empty(steps)
+        diag = inv.diagonal().copy()
+        alive = np.ones(kept.size, dtype=bool)
+        for t in range(steps):
+            live = np.flatnonzero(alive)
+            pos = _deletion(entries, kept[live], _near(diag[live], tol))
+            p = int(live[pos])
+            cols[:, t] = inv[:, p] - cols[:, :t] @ (cols[p, :t] / piv[:t])
+            piv[t] = cols[p, t]
+            diag -= cols[:, t] ** 2 / piv[t]
+            alive[p] = False
+        kept, scaled = kept[alive], cols[alive] / piv
+        inv = inv[np.ix_(alive, alive)]
+        inv -= scaled @ cols[alive].T
     return design_subset(K, kept)
 
 
@@ -84,31 +197,39 @@ def exchange_refine(K: KernelMatrix, start: DesignSubset) -> DesignSubset:
     """Apply improving one-swaps until none exists.
 
     Each accepted swap strictly increases the objective, so the loop
-    terminates; the result is a one-swap local optimum.
+    terminates; the result is a one-swap local optimum.  Among the swaps
+    with the largest gain, the first in (removed site, added site) order
+    wins.  Each sweep scores all k (n - k) swaps at once from A = K[S]^-1
+    (Fedorov's exchange): det(K[S - l + s]) / det(K[S]) =
+    A[l, l] (K[s, s] - k_s' A k_s) + (a_l' k_s)^2.
     """
     n = K.dim
     entries = K.entries
-    current = list(start.indices)
-    current_val = start.log_det
-    improved = True
-    while improved:
-        improved = False
-        inside = set(current)
-        best_gain, best_move = 0.0, None
-        for l in current:
-            for s in range(n):
-                if s in inside:
-                    continue
-                cand = sorted([i for i in current if i != l] + [s])
-                val = _logdet(entries, cand)
-                gain = val - current_val
-                if gain > best_gain:
-                    best_gain, best_move = gain, (l, s, val)
-        if best_move is not None:
-            l, s, val = best_move
-            current = sorted([i for i in current if i != l] + [s])
-            current_val = val
-            improved = True
+    start = design_subset(K, start.indices)
+    current, current_val = np.array(start.indices), start.log_det
+    _, tol = _certify(entries)
+    while current.size < n:
+        outside = np.setdiff1d(np.arange(n), current)
+        m = current.size
+        if tol is None:
+            near = np.arange(m * outside.size)
+        else:
+            # With L the Cholesky factor of K[S], [L^-1 | L^-1 K[S, out]]
+            # gives A's diagonal as column norms, and both terms of the ratio.
+            half = np.linalg.solve(np.linalg.cholesky(entries[np.ix_(current, current)]),
+                                   np.hstack([np.eye(m), entries[np.ix_(current, outside)]]))
+            inv_half, w = half[:, :m], half[:, m:]
+            resid = entries.diagonal()[outside] - (w * w).sum(axis=0)
+            cross = inv_half.T @ w
+            near = _near(np.outer((inv_half * inv_half).sum(axis=0), resid) + cross * cross, tol)
+        l, s = np.divmod(near, outside.size)
+        sets = np.sort(np.column_stack([_drop_each(current, l), outside[s]]), axis=1)
+        vals = _exact_scores(entries, sets)
+        gains = vals - current_val
+        b = int(np.argmax(gains))
+        if not gains[b] > 0.0:
+            break
+        current, current_val = sets[b], float(vals[b])
     return design_subset(K, current)
 
 
@@ -212,8 +333,8 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     entries = K.entries
 
-    def fit_of(s):
-        return _logdet(entries, list(s))
+    def fit_of(individuals):
+        return _exact_scores(entries, np.array(individuals, dtype=np.intp))
 
     init_rng = streams.stream(seed, streams.DOMAIN_GA, 0)
     if initial_population is not None:
@@ -225,7 +346,7 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
             tuple(sorted(init_rng.permutation(n)[:k].tolist()))
             for _ in range(cfg.population)
         ]
-    fitness = np.array([fit_of(p) for p in pop])
+    fitness = fit_of(pop)
 
     iters, vals, subs = [1], [], []
     best_i = int(np.argmax(fitness))
@@ -255,7 +376,7 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
 
         aug = pop + children + mutants
         aug_fit = np.concatenate(
-            [fitness, np.array([fit_of(s) for s in children + mutants])]
+            [fitness, fit_of(children + mutants)]
         ) if children or mutants else fitness.copy()
 
         # Selection: elites pass through, the rest come from tournaments.

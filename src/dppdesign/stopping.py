@@ -167,6 +167,21 @@ def _build_row(fit, time, value, epsilons, mode, scale, reference) -> StoppingRo
     )
 
 
+def _increment_setup(records: RecordSequence, epsilons):
+    """Sorted epsilons, increment mode and additive scale for a report."""
+    if records.count == 0:
+        raise ValueError("record sequence is empty")
+    eps = tuple(sorted(float(e) for e in (epsilons or DEFAULT_EPSILONS)))
+    if any(e < 0 for e in eps):
+        raise ValueError("epsilons must be nonnegative")
+    if records.values[0] <= 0:
+        scale = records.trace_iqr
+        if not np.isfinite(scale) or scale <= 0:
+            scale = max(abs(float(records.values[-1])), 1.0)
+        return eps, "additive", scale
+    return eps, "multiplicative", None
+
+
 def build_stopping_report(records: RecordSequence, fits, epsilons=None,
                           reference: float | None = None) -> list:
     """One report per fitted model, one row per record.
@@ -177,18 +192,7 @@ def build_stopping_report(records: RecordSequence, fits, epsilons=None,
     scale the interquartile range of the source trace, and says so in
     increment_mode.
     """
-    if records.count == 0:
-        raise ValueError("record sequence is empty")
-    eps = tuple(sorted(float(e) for e in (epsilons or DEFAULT_EPSILONS)))
-    if any(e < 0 for e in eps):
-        raise ValueError("epsilons must be nonnegative")
-    if records.values[0] <= 0:
-        mode = "additive"
-        scale = records.trace_iqr
-        if not np.isfinite(scale) or scale <= 0:
-            scale = max(abs(float(records.values[-1])), 1.0)
-    else:
-        mode, scale = "multiplicative", None
+    eps, mode, scale = _increment_setup(records, epsilons)
     reports = []
     for fit in fits:
         rows = tuple(
@@ -210,9 +214,10 @@ def build_stopping_report(records: RecordSequence, fits, epsilons=None,
 
 def evaluate_latest_record(records: RecordSequence, fit: FittedCdf,
                            epsilons, reference: float | None = None) -> StoppingRow:
-    """Stopping diagnostics for the most recent record only."""
-    report = build_stopping_report(records, [fit], epsilons, reference)[0]
-    return report.rows[-1]
+    """Stopping diagnostics for the most recent record only: the last row
+    of build_stopping_report, without building the others."""
+    eps, mode, scale = _increment_setup(records, epsilons)
+    return _build_row(fit, records.times[-1], records.values[-1], eps, mode, scale, reference)
 
 
 def should_stop(policy: StoppingPolicy, row: StoppingRow) -> bool:

@@ -6,8 +6,10 @@ import pytest
 
 from dppdesign import (
     CombinatorialBudgetError,
+    DesignSubset,
     GaConfig,
     KernelMatrix,
+    SingularSubmatrixError,
     best_subset,
     design_subset,
     dpp_search,
@@ -19,6 +21,9 @@ from dppdesign import (
     log_det_submatrix,
     synth_kernel,
 )
+from dppdesign import streams
+from dppdesign.kernels import _logdet_psd
+from dppdesign.search import _crossover, _mutate, _tournament
 from dppdesign.trace import SampleTrace, read_trace, write_trace
 from conftest import random_pd_kernel
 
@@ -67,11 +72,13 @@ class TestGreedy:
         assert greedy_backward(KernelMatrix(np.eye(4)), 2).indices == (0, 1)
 
     def test_greedy_never_beats_exhaustive(self):
-        for seed in (1, 4, 9):
-            K = random_pd_kernel(9, seed=seed)
-            g = greedy_forward(K, 4).log_det
+        kernels = [random_pd_kernel(9, seed=seed) for seed in (1, 4, 9)]
+        kernels += [synth_kernel(11, 0.4 + 0.2 * seed, 1e-6, seed=seed) for seed in range(5)]
+        for K in kernels:
             e = exhaustive_search(K, 4).log_det
-            assert g <= e + 1e-12
+            g = greedy_forward(K, 4)
+            for res in (g, greedy_backward(K, 4), exchange_refine(K, g)):
+                assert res.log_det <= e + 1e-12
 
 
 class TestExchange:
@@ -253,3 +260,280 @@ class TestTraceRoundTrip:
 
         with pytest.raises(InputFormatError):
             read_trace(p)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-candidate searches that the rank-one searches replaced,
+# kept verbatim.  Each scores every candidate with its own Cholesky
+# factorization, so its choices, tie rules and SingularSubmatrixError are
+# the specification the rank-one searches must reproduce exactly.
+
+
+def _logdet(entries: np.ndarray, idx) -> float:
+    return _logdet_psd(entries[np.ix_(idx, idx)])
+
+
+def reference_forward(K: KernelMatrix, k: int) -> DesignSubset:
+    """Grow a subset one site at a time, maximizing the objective each step."""
+    n = K.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    entries = K.entries
+    chosen: list = []
+    for _ in range(k):
+        best_val, best_s = -np.inf, None
+        for s in range(n):
+            if s in chosen:
+                continue
+            val = _logdet(entries, sorted(chosen + [s]))
+            if val > best_val:
+                best_val, best_s = val, s
+        chosen.append(best_s)
+    return design_subset(K, sorted(chosen))
+
+
+def reference_backward(K: KernelMatrix, k: int) -> DesignSubset:
+    """Start from all sites and repeatedly delete the least valuable one.
+
+    Ties remove the highest index, so the kept set is lexicographically
+    smallest.
+    """
+    n = K.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    entries = K.entries
+    kept = list(range(n))
+    for _ in range(n - k):
+        best_val, best_l = -np.inf, None
+        for l in kept:
+            val = _logdet(entries, [i for i in kept if i != l])
+            if val > best_val or (val == best_val and l > best_l):
+                best_val, best_l = val, l
+        kept.remove(best_l)
+    return design_subset(K, kept)
+
+
+def reference_exchange(K: KernelMatrix, start: DesignSubset) -> DesignSubset:
+    """Apply improving one-swaps until none exists.
+
+    Each accepted swap strictly increases the objective, so the loop
+    terminates; the result is a one-swap local optimum.
+    """
+    n = K.dim
+    entries = K.entries
+    current = list(start.indices)
+    current_val = start.log_det
+    improved = True
+    while improved:
+        improved = False
+        inside = set(current)
+        best_gain, best_move = 0.0, None
+        for l in current:
+            for s in range(n):
+                if s in inside:
+                    continue
+                cand = sorted([i for i in current if i != l] + [s])
+                val = _logdet(entries, cand)
+                gain = val - current_val
+                if gain > best_gain:
+                    best_gain, best_move = gain, (l, s, val)
+        if best_move is not None:
+            l, s, val = best_move
+            current = sorted([i for i in current if i != l] + [s])
+            current_val = val
+            improved = True
+    return design_subset(K, current)
+
+
+def reference_genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
+                   seed: int = 0, initial_population=None) -> SampleTrace:
+    """Evolve a population of k-subsets; returns the per-generation trace.
+
+    Trace entry 1 is the best of the initial population, entry g+1 the
+    best after generation g.  Elitism makes the per-generation best
+    non-decreasing.
+    """
+    cfg = cfg or GaConfig()
+    n = K.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    entries = K.entries
+
+    def fit_of(s):
+        return _logdet(entries, list(s))
+
+    init_rng = streams.stream(seed, streams.DOMAIN_GA, 0)
+    if initial_population is not None:
+        pop = [tuple(sorted(int(i) for i in ind)) for ind in initial_population]
+        if len(pop) != cfg.population or any(len(set(p)) != k for p in pop):
+            raise ValueError("initial population must hold distinct k-subsets")
+    else:
+        pop = [
+            tuple(sorted(init_rng.permutation(n)[:k].tolist()))
+            for _ in range(cfg.population)
+        ]
+    fitness = np.array([fit_of(p) for p in pop])
+
+    iters, vals, subs = [1], [], []
+    best_i = int(np.argmax(fitness))
+    vals.append(float(fitness[best_i]))
+    subs.append(pop[best_i])
+
+    n_elite = max(1, round(cfg.elite_fraction * cfg.population))
+    for gen in range(1, cfg.generations + 1):
+        rng = streams.stream(seed, streams.DOMAIN_GA, gen)
+
+        # Crossover: tournament-select a p_cross proportion, pair them up.
+        n_cross = round(cfg.p_cross * cfg.population)
+        parents = [
+            pop[_tournament(rng, fitness, cfg.tournament_size)]
+            for _ in range(n_cross)
+        ]
+        children = []
+        for a, b in zip(parents[0::2], parents[1::2]):
+            children.append(_crossover(rng, a, b, k))
+            children.append(_crossover(rng, b, a, k))
+
+        # Mutation: an equal-probability p_mutprop proportion of the
+        # population spawns mutated copies.
+        n_mut = round(cfg.p_mutprop * cfg.population)
+        mut_idx = rng.permutation(cfg.population)[:n_mut]
+        mutants = [_mutate(rng, pop[i], n, cfg.p_mut) for i in mut_idx]
+
+        aug = pop + children + mutants
+        aug_fit = np.concatenate(
+            [fitness, np.array([fit_of(s) for s in children + mutants])]
+        ) if children or mutants else fitness.copy()
+
+        # Selection: elites pass through, the rest come from tournaments.
+        order = sorted(range(len(aug)), key=lambda i: (-aug_fit[i], aug[i]))
+        new_pop = [aug[i] for i in order[:n_elite]]
+        new_fit = [aug_fit[i] for i in order[:n_elite]]
+        while len(new_pop) < cfg.population:
+            i = _tournament(rng, aug_fit, cfg.tournament_size)
+            new_pop.append(aug[i])
+            new_fit.append(aug_fit[i])
+        pop = new_pop
+        fitness = np.array(new_fit)
+
+        best_i = int(np.argmax(fitness))
+        iters.append(gen + 1)
+        vals.append(float(fitness[best_i]))
+        subs.append(pop[best_i])
+
+    return SampleTrace(iters, vals, subs)
+
+
+def _low_rank_kernel(n, rank, nugget, seed):
+    x = np.random.default_rng(seed).normal(size=(n, rank))
+    return KernelMatrix(x @ x.T + nugget * np.eye(n))
+
+
+def _duplicated_site_kernel():
+    """synth_kernel(12, 1.0, 1e-6) with site 3 repeated as site 12."""
+    idx = list(range(12)) + [3]
+    return KernelMatrix(synth_kernel(12, 1.0, 1e-6).entries[np.ix_(idx, idx)])
+
+
+# name -> (kernel, k values).  random_pd_kernel covers n = 8..30 with
+# k = 1 and k = n; the synth kernels are the criterion-style exponential
+# kernels with a 1e-6 nugget; the identity and diagonal kernels tie
+# exactly; the low-rank kernels are ill-conditioned (the first two pass
+# the submatrix certificate, the last does not, so every candidate is
+# scored exactly); the duplicated-site kernel is exactly singular.
+ORACLE_KERNELS = {
+    **{f"random_pd_n{n}": (lambda n=n: random_pd_kernel(n, seed=100 + n), (1, 3, n // 2, n))
+       for n in range(8, 31, 2)},
+    **{f"synth60_seed{seed}": (lambda seed=seed: synth_kernel(60, 0.5 + 0.3 * seed, 1e-6, seed=seed), (12,))
+       for seed in range(14)},
+    "identity": (lambda: KernelMatrix(np.eye(9)), (1, 4, 9)),
+    "diagonal_ties": (lambda: KernelMatrix(np.diag([3.0, 1, 3, 2, 2, 3, 1, 1])), (1, 3, 5, 8)),
+    "low_rank_1e-6": (lambda: _low_rank_kernel(40, 10, 1e-6, seed=1), (5, 10, 15)),
+    "low_rank_1e-7": (lambda: _low_rank_kernel(50, 12, 1e-7, seed=2), (6, 17)),
+    "low_rank_1e-10": (lambda: _low_rank_kernel(30, 8, 1e-10, seed=3), (4, 8, 12)),
+    "duplicated_site": (_duplicated_site_kernel, (1, 2, 4, 6, 11, 12)),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularSubmatrixError as exc:
+        return ("SingularSubmatrixError", str(exc))
+
+
+def _trace_rows(trace):
+    if not isinstance(trace, SampleTrace):
+        return trace
+    return trace.iterations.tolist(), trace.values.tolist(), trace.subsets
+
+
+class TestRankOneOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    def test_searches_match_reference(self, name):
+        make, ks = ORACLE_KERNELS[name]
+        K = make()
+        for k in ks:
+            assert _outcome(greedy_forward, K, k) == _outcome(reference_forward, K, k), k
+            assert _outcome(greedy_backward, K, k) == _outcome(reference_backward, K, k), k
+            start = _outcome(reference_forward, K, k)
+            if isinstance(start, DesignSubset):
+                assert _outcome(exchange_refine, K, start) == _outcome(reference_exchange, K, start), k
+            worst = _outcome(design_subset, K, range(K.dim - k, K.dim))
+            if isinstance(worst, DesignSubset):
+                assert _outcome(exchange_refine, K, worst) == _outcome(reference_exchange, K, worst), k
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    def test_ga_matches_reference(self, name):
+        make, ks = ORACLE_KERNELS[name]
+        K = make()
+        cfg = GaConfig(population=20, generations=6)
+        for k in ks:
+            if k == K.dim:
+                continue
+            new = _outcome(genetic_search, K, k, cfg, k)
+            ref = _outcome(reference_genetic_search, K, k, cfg, k)
+            assert _trace_rows(new) == _trace_rows(ref), k
+
+    def test_design_size_ga_matches_reference(self):
+        K = synth_kernel(60, 0.5, 1e-6, seed=4)
+        new = genetic_search(K, 12, GaConfig(generations=4), seed=2)
+        ref = reference_genetic_search(K, 12, GaConfig(generations=4), seed=2)
+        assert np.array_equal(new.values, ref.values)
+        assert new.subsets == ref.subsets
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exchange_leaves_no_exactly_improving_swap(self, seed):
+        K = random_pd_kernel(14, seed=seed)
+        refined = exchange_refine(K, design_subset(K, range(5)))
+        inside = set(refined.indices)
+        for l in refined.indices:
+            for s in sorted(set(range(14)) - inside):
+                swapped = sorted(inside - {l} | {s})
+                assert log_det_submatrix(K, swapped) <= refined.log_det
+
+    def test_duplicated_site(self):
+        # Site 12 repeats site 3, so every submatrix holding both is
+        # singular.  Backward starts from the full set and raises at once;
+        # forward and exchange never hold both sites and return.
+        K = _duplicated_site_kernel()
+        with pytest.raises(SingularSubmatrixError):
+            greedy_backward(K, 4)
+        fwd = greedy_forward(K, 4)
+        assert fwd == reference_forward(K, 4)
+        assert exchange_refine(K, fwd) == reference_exchange(K, fwd)
+        assert 3 not in fwd.indices and 12 not in fwd.indices
+
+
+class TestExchangeStart:
+    def test_inflated_start_log_det_is_rescored(self):
+        K = random_pd_kernel(10, seed=8)
+        start = design_subset(K, [0, 1, 2])
+        inflated = DesignSubset(start.indices, start.log_det + 5.0)
+        assert exchange_refine(K, inflated) == exchange_refine(K, start)
+        assert exchange_refine(K, start).log_det > start.log_det
+
+    def test_out_of_range_start_raises_value_error(self):
+        K = random_pd_kernel(10, seed=8)
+        with pytest.raises(ValueError, match="out of bounds"):
+            exchange_refine(K, DesignSubset((0, 25), 0.0))

@@ -252,6 +252,24 @@ class TestBuildReport:
         assert row.record == 5.0
         assert row.n_sims == 3
 
+    @pytest.mark.parametrize("values", [
+        [1.0, 2.0, 5.0, 4.0, 7.5],          # multiplicative increments
+        [-3.0, -1.0, 0.5, 0.2, 2.0],        # additive, scale from the IQR
+    ])
+    @pytest.mark.parametrize("reference", [None, 1.5])
+    def test_latest_record_is_last_report_row(self, values, reference):
+        x = np.random.default_rng(4).normal(size=400)
+        model = fitted_cdf_from_gpd(fit_gpd_pot(x, 0.9), x)
+        records = make_records(values)
+        for fit in (exponential_cdf(), model):
+            report = build_stopping_report(records, [fit], (0.01, 0.001), reference)[0]
+            assert evaluate_latest_record(records, fit, (0.01, 0.001), reference) == report.rows[-1]
+
+    def test_latest_record_rejects_negative_epsilon(self):
+        records = make_records([1.0, 2.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            evaluate_latest_record(records, exponential_cdf(), (-0.1,))
+
 
 class TestReportCsv:
     def test_sentinels_and_layout(self, tmp_path):

@@ -51,6 +51,7 @@ from .tails import (
     write_fit_report,
     write_qq_csv,
 )
+from .textio import write_json
 from .trace import SampleTrace, read_trace, write_trace
 
 FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
@@ -149,7 +150,8 @@ def _read_json_object(path, what, keys) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: not a bool, a NaN or an infinity."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _check_fit_scalars(path, payload) -> None:
@@ -231,13 +233,11 @@ def cmd_solve(args) -> int:
     run_id = _run_id(config_payload)
 
     write_trace(trace, out / "trace.csv")
-    with open(out / "best.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "method": args.method, "k": args.k, "n": K.dim,
-            "indices": list(best.indices), "log_det": best.log_det,
-            "seed": args.seed, "run_id": run_id,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "best.json", {
+        "method": args.method, "k": args.k, "n": K.dim,
+        "indices": list(best.indices), "log_det": best.log_det,
+        "seed": args.seed, "run_id": run_id,
+    })
     meta = {
         "run_id": run_id, "config": config_payload,
         "version": __version__, "workers": args.workers,
@@ -247,9 +247,7 @@ def cmd_solve(args) -> int:
     if checks is not None:
         write_policy_csv(checks, out / "policy.csv")
         meta["policy_checks"] = len(checks)
-    with open(out / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "run_meta.json", meta)
     print(f"{args.method}: log_det {best.log_det:.6f} at {list(best.indices)}")
     if stopped_at is not None:
         print(f"stopping policy fired at iteration {stopped_at}")
@@ -270,16 +268,14 @@ def cmd_analyze_records(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_record_log(records, out / "records.csv")
     mean, var = expected_record_count(jittered.n)
-    with open(out / "records_summary.json", "w", encoding="utf-8") as fh:
-        json.dump({
-            "observed_records": records.count,
-            "expected_records": mean,
-            "record_count_variance": var,
-            "trace_length": jittered.n,
-            "jitter_sigma": args.sigma,
-            "jitter_seed": args.seed,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "records_summary.json", {
+        "observed_records": records.count,
+        "expected_records": mean,
+        "record_count_variance": var,
+        "trace_length": jittered.n,
+        "jitter_sigma": args.sigma,
+        "jitter_seed": args.seed,
+    })
     print(f"records: observed {records.count}, expected {mean:.2f} "
           f"over {jittered.n} iterations")
     return 0
@@ -352,18 +348,16 @@ def cmd_stopping_report(args) -> int:
             raise ConfigError("give either --reference or --reference-json")
         path = args.reference_json
         log_det = _read_json_object(path, "reference", ("log_det",))["log_det"]
-        if not isinstance(log_det, (int, float)):
-            raise InputFormatError(f"reference {path}: log_det is not a number")
+        if not _is_number(log_det):
+            raise InputFormatError(f"reference {path}: log_det is not a finite number")
         reference = float(log_det)
 
     fits = []
     for path, payload in zip(fit_paths, payloads):
         params = payload["parameters"]
-        if not isinstance(params, dict) or not all(
-            isinstance(v, (int, float)) for v in params.values()
-        ):
+        if not isinstance(params, dict) or not all(map(_is_number, params.values())):
             raise InputFormatError(
-                f"fit {path}: parameters must be a JSON object of numbers"
+                f"fit {path}: parameters must be a JSON object of finite numbers"
             )
         try:
             fits.append(fitted_cdf_from_params(
@@ -389,9 +383,8 @@ def cmd_stopping_report(args) -> int:
             seen[tag] = 1
         write_stopping_csv(report, out / f"stopping_{tag}.csv")
         last = report.rows[-1]
-        wait = "inf" if last.expected_wait == float("inf") else f"{last.expected_wait:.4g}"
-        print(f"{report.model}: {records.count} records, "
-              f"final expected wait {wait} ({report.increment_mode} increments)")
+        print(f"{report.model}: {records.count} records, final expected wait "
+              f"{last.expected_wait:.4g} ({report.increment_mode} increments)")
     return 0
 
 

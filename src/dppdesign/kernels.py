@@ -115,20 +115,9 @@ def _validate_subset(n: int, indices) -> np.ndarray:
     return idx
 
 
-def _logdet_psd(a: np.ndarray) -> float:
-    """Log-determinant of a PD matrix via Cholesky; raises on failure."""
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise SingularSubmatrixError("singular submatrix") from None
-    d = np.diagonal(chol)
-    if (d * d).min() < _PIVOT_RTOL * np.diagonal(a).max():
-        raise SingularSubmatrixError("singular submatrix")
-    return 2.0 * float(np.log(d).sum())
-
-
 def _logdet_psd_stack(a: np.ndarray) -> np.ndarray:
-    """_logdet_psd of each matrix in a (B, k, k) stack; raises if any fails."""
+    """Log-determinant of each PD matrix in a (B, k, k) stack via Cholesky;
+    raises if any factorization fails or has a vanishing pivot."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -138,6 +127,11 @@ def _logdet_psd_stack(a: np.ndarray) -> np.ndarray:
     if ((d * d).min(axis=1) < _PIVOT_RTOL * top).any():
         raise SingularSubmatrixError("singular submatrix")
     return 2.0 * np.log(d).sum(axis=1)
+
+
+def _logdet_psd(a: np.ndarray) -> float:
+    """_logdet_psd_stack of the one matrix a."""
+    return float(_logdet_psd_stack(a[None])[0])
 
 
 def log_det_submatrix(K: KernelMatrix, indices) -> float:

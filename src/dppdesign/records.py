@@ -24,6 +24,7 @@ from scipy import integrate
 
 from . import streams
 from .errors import TieError
+from .textio import write_csv
 from .trace import SampleTrace, record_flags
 
 _STIRLING_MAX_N = 170
@@ -258,14 +259,7 @@ RECORD_LOG_HEADER = "d,record_value,record_time,gap,increment,subset"
 
 
 def write_record_log(records: RecordSequence, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(RECORD_LOG_HEADER + "\n")
-        for d in range(records.count):
-            gap = "" if d == 0 else str(int(records.gaps[d - 1]))
-            sub = ""
-            if records.subsets is not None:
-                sub = ";".join(str(i) for i in records.subsets[d])
-            fh.write(
-                f"{d},{records.values[d]:.17g},{records.times[d]},"
-                f"{gap},{records.increments[d]:.17g},{sub}\n"
-            )
+    subsets = [None] * records.count if records.subsets is None else records.subsets
+    write_csv(path, RECORD_LOG_HEADER.split(","),
+              [range(records.count), records.values, records.times,
+               [None, *records.gaps.tolist()], records.increments, subsets])

@@ -7,7 +7,6 @@ geometric with success probability 1 - F(r).  A search should stop when
 a meaningful improvement has become unlikely and the expected wait long.
 """
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ import numpy as np
 
 from .records import RecordSequence
 from .tails import FittedCdf
+from .textio import write_csv
 
 DEFAULT_EPSILONS = (0.0001, 0.0005, 0.001)
 
@@ -233,26 +233,23 @@ def should_stop(policy: StoppingPolicy, row: StoppingRow) -> bool:
     )
 
 
-def _fmt_prob(p: float | None) -> str:
+def _fmt_prob(p: float | None):
     if p is None:
         return "n/a"
     if p > 1.0:
         return ">1"
-    return f"{p:.17g}"
+    return p
 
 
 def write_stopping_csv(report: StoppingReport, path) -> None:
     """Table-style CSV: n_sims,record,p_eps_*,beat_reference,expected_wait."""
-    eps_cols = ",".join(f"p_eps_{i + 1}" for i in range(len(report.epsilons)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n_sims,record,{eps_cols},beat_reference,expected_wait\n")
-        for row in report.rows:
-            probs = ",".join(f"{row.eps_probs[e]:.17g}" for e in report.epsilons)
-            wait = "inf" if math.isinf(row.expected_wait) else f"{row.expected_wait:.17g}"
-            fh.write(
-                f"{row.n_sims},{row.record:.17g},{probs},"
-                f"{_fmt_prob(row.beat_reference)},{wait}\n"
-            )
+    rows = report.rows
+    eps_cols = [f"p_eps_{i + 1}" for i in range(len(report.epsilons))]
+    write_csv(path, ["n_sims", "record", *eps_cols, "beat_reference", "expected_wait"],
+              [[r.n_sims for r in rows], [r.record for r in rows],
+               *([r.eps_probs[e] for r in rows] for e in report.epsilons),
+               [_fmt_prob(r.beat_reference) for r in rows],
+               [r.expected_wait for r in rows]])
 
 
 POLICY_LOG_HEADER = ("iteration", "threshold", "xi", "p_eps", "expected_wait",
@@ -260,14 +257,7 @@ POLICY_LOG_HEADER = ("iteration", "threshold", "xi", "p_eps", "expected_wait",
 
 
 def write_policy_csv(checks, path) -> None:
-    """One row per policy check; empty cells where a failed check computed
-    nothing, "inf" for an infinite expected wait."""
-    def cell(x):
-        return "" if x is None else "inf" if x == math.inf else f"{x:.17g}"
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(POLICY_LOG_HEADER)
-        for c in checks:
-            out.writerow([c.iteration, cell(c.threshold), cell(c.xi), cell(c.p_eps),
-                          cell(c.expected_wait), c.decision, c.reason])
+    """One row per policy check (a list of PolicyCheck); empty cells where
+    a failed check computed nothing."""
+    write_csv(path, POLICY_LOG_HEADER,
+              [[getattr(c, field) for c in checks] for field in POLICY_LOG_HEADER])

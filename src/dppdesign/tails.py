@@ -10,7 +10,6 @@ are fitted on data shifted by min(x) - 1e-6 and the shift is stored and
 inverted on evaluation.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .errors import (
     InsufficientTailDataError,
     NonConvergenceError,
 )
+from .textio import write_csv, write_json
 
 _MIN_EXCEEDANCES = 30
 _XI_EXP_BRANCH = 1e-6  # |xi| below this uses the exponential-limit formulas
@@ -174,27 +174,21 @@ class _LogNormal:
         return self.shift + np.exp(self.mu + self.sigma * special.ndtri(q))
 
 
-def _exponential(p, shift, sample):
-    if not p["rate"] > 0:
-        raise ValueError(f"rate must be positive, got {p['rate']}")
-    return _Weibull(1.0, 1.0 / p["rate"], p["loc"])
-
-
-def _weibull(p, shift, sample):
-    return _Weibull(p["shape"], p["scale"], shift)
-
-
-# family -> evaluator built from (params, shift, sample)
+# family -> (parameters that must be positive, evaluator built from
+# (params, shift, sample))
 _FAMILIES = {
-    "gpd": lambda p, shift, sample: _Composite(
+    "gpd": (("sigma",), lambda p, shift, sample: _Composite(
         sample, (p["mu"], p["sigma"], p["xi"], p["p_tail"])
-    ),
-    "empirical": lambda p, shift, sample: _Composite(sample),
-    "weibull": _weibull,
-    "cens_weibull": _weibull,
-    "exponential": _exponential,
-    "lognormal": lambda p, shift, sample: _LogNormal(p["mu"], p["sigma"], shift),
+    )),
+    "empirical": ((), lambda p, shift, sample: _Composite(sample)),
+    "weibull": (("shape", "scale"),
+                lambda p, shift, sample: _Weibull(p["shape"], p["scale"], shift)),
+    "exponential": (("rate",),
+                    lambda p, shift, sample: _Weibull(1.0, 1.0 / p["rate"], p["loc"])),
+    "lognormal": (("sigma",),
+                  lambda p, shift, sample: _LogNormal(p["mu"], p["sigma"], shift)),
 }
+_FAMILIES["cens_weibull"] = _FAMILIES["weibull"]
 
 
 def _elementwise(fn, x):
@@ -208,12 +202,13 @@ class FittedCdf:
     """Evaluable fitted distribution: cdf, survival, pdf and quantile.
 
     family is one of gpd, cens_weibull, weibull, lognormal, exponential,
-    empirical; an unknown family or a missing parameter raises
-    ValueError here.  The gpd family is the composite peaks-over-threshold
-    model: empirical below the threshold, 1 - p_tail + p_tail * H(r)
-    above it, with p_tail the exceedance fraction; empirical is the same
-    composite with no tail.  Survival is computed directly (not as
-    1 - cdf) so tiny tail probabilities keep precision.
+    empirical; an unknown family, a missing parameter or a non-positive
+    scale, shape or rate raises ValueError here.  The gpd family is the
+    composite peaks-over-threshold model: empirical below the threshold,
+    1 - p_tail + p_tail * H(r) above it, with p_tail the exceedance
+    fraction; empirical is the same composite with no tail.  Survival is
+    computed directly (not as 1 - cdf) so tiny tail probabilities keep
+    precision.
     """
 
     def __init__(self, family, params, shift=0.0, threshold=None,
@@ -226,8 +221,12 @@ class FittedCdf:
         self.n_used = int(n_used)
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        positive, build = _FAMILIES[family]
         try:
-            self._eval = _FAMILIES[family](self.params, self.shift, sample)
+            for name in positive:
+                if not self.params[name] > 0:
+                    raise ValueError(f"{name} must be positive, got {self.params[name]}")
+            self._eval = build(self.params, self.shift, sample)
         except KeyError as exc:
             raise ValueError(f"{family} model is missing parameter {exc}") from None
         self._hist = getattr(self._eval, "hist", None)
@@ -555,26 +554,19 @@ def qq_points(fit: FittedCdf, values, upper_tail_only: bool = False) -> np.ndarr
 
 
 def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
-    payload = {
+    write_json(path, {
         "family": fit.family,
         "parameters": fit.params,
         "threshold": fit.threshold,
         "shift": fit.shift,
         "loglik": fit.loglik,
         "n_used": fit.n_used,
-    }
-    if meta:
-        payload.update(meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        **(meta or {}),
+    })
 
 
 def write_qq_csv(points: np.ndarray, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theoretical,empirical\n")
-        for theo, emp in points:
-            fh.write(f"{theo:.17g},{emp:.17g}\n")
+    write_csv(path, ("theoretical", "empirical"), points.T)
 
 
 def write_density_overlay(fit: FittedCdf, values, path) -> None:
@@ -584,9 +576,5 @@ def write_density_overlay(fit: FittedCdf, values, path) -> None:
     dens, edges = np.histogram(x, bins="auto", density=True)
     grid = np.linspace(x.min(), x.max(), 512)
     idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, dens.size - 1)
-    emp = dens[idx]
-    fitted = fit.pdf(grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,empirical_density,fitted_density\n")
-        for g, e, f in zip(grid, emp, fitted):
-            fh.write(f"{g:.17g},{e:.17g},{f:.17g}\n")
+    write_csv(path, ("x", "empirical_density", "fitted_density"),
+              [grid, dens[idx], fit.pdf(grid)])

@@ -8,6 +8,7 @@ through CSV with 17-significant-digit values so files parse losslessly.
 import numpy as np
 
 from .errors import InputFormatError
+from .textio import write_csv
 
 TRACE_HEADER = "iteration,log_det,is_record,subset"
 
@@ -65,14 +66,8 @@ class SampleTrace:
 
 
 def write_trace(trace: SampleTrace, path) -> None:
-    flags = record_flags(trace.values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for it, val, flag, sub in zip(
-            trace.iterations, trace.values, flags, trace.subsets
-        ):
-            joined = ";".join(str(i) for i in sub)
-            fh.write(f"{it},{val:.17g},{int(flag)},{joined}\n")
+    write_csv(path, TRACE_HEADER.split(","),
+              [trace.iterations, trace.values, record_flags(trace.values), trace.subsets])
 
 
 def read_trace(path) -> SampleTrace:
@@ -87,23 +82,27 @@ def read_trace(path) -> SampleTrace:
         raise InputFormatError(f"empty trace: {path}")
     iterations, values, subsets = [], [], []
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise InputFormatError(f"malformed trace row: {ln!r}")
         try:
-            iterations.append(int(parts[0]))
-            values.append(float(parts[1]))
-            subsets.append(tuple(int(s) for s in parts[3].split(";") if s))
+            it, value, _, subset = ln.split(",")
+            iterations.append(int(it))
+            values.append(float(value))
+            subsets.append(tuple(int(s) for s in subset.split(";") if s))
         except ValueError:
-            raise InputFormatError(f"malformed trace row: {ln!r}") from None
+            raise InputFormatError(f"malformed trace row in {path}: {ln!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise InputFormatError(f"trace log_det values must be finite: {path}")
     try:
         idx = np.array(subsets, dtype=np.int64)
     except (ValueError, OverflowError):
         raise InputFormatError(
             f"trace subsets differ in size or overflow int64: {path}"
         ) from None
-    if idx.size and (idx.min() < 0 or np.any(np.diff(idx, axis=1) <= 0)):
+    if idx.shape[1] == 0 or idx.min() < 0 or np.any(np.diff(idx, axis=1) <= 0):
         raise InputFormatError(
-            f"trace subsets must hold nonnegative, strictly increasing indices: {path}"
+            f"trace subsets must hold nonempty, nonnegative, strictly increasing "
+            f"indices: {path}"
         )
-    return SampleTrace(iterations, values, subsets)
+    try:
+        return SampleTrace(iterations, values, subsets)
+    except ValueError as exc:
+        raise InputFormatError(f"{exc}: {path}") from None

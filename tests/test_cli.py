@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,15 +163,31 @@ class TestAnalyzeRecords:
         p.write_text(TRACE_HEADER + "\n")
         assert run("analyze-records", "--trace", p, "--out-dir", tmp_path / "o") == 2
 
+    @staticmethod
+    def assert_trace_rejected(trace, tmp_path, capsys):
+        """Both trace commands exit 2 with one line naming the trace."""
+        for command in ("analyze-records", "fit-tail"):
+            capsys.readouterr()
+            assert run(command, "--trace", trace, "--sigma", 0,
+                       "--out-dir", tmp_path / command) == 2
+            err = capsys.readouterr().err.strip()
+            assert str(trace) in err and "\n" not in err
+
     @pytest.mark.parametrize("row", ["3,9,1,0;1;2;99", "3,9,1,2;1", "3,9,1,1;1",
-                                     "3,9,1,-1;2"])
+                                     "3,9,1,-1;2", "3,9,1,", "2,9,1,0;1", "1,9,1,0;1",
+                                     "3,nan,1,0;1", "3,inf,1,0;1", "3,-inf,1,0;1",
+                                     "3,9,1,0;x", "3,9,1"])
     def test_malformed_subsets_exit_two(self, tmp_path, capsys, row):
         trace = tmp_path / "trace.csv"
         write_toy_trace(trace, values=(1.0, 2.0))
         with open(trace, "a", encoding="utf-8") as fh:
             fh.write(row + "\n")
-        assert run("analyze-records", "--trace", trace, "--sigma", 0,
-                   "--out-dir", tmp_path / "o") == 2
+        self.assert_trace_rejected(trace, tmp_path, capsys)
+
+    def test_empty_subsets_exit_two(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n1,1,1,\n2,2,1,\n")
+        self.assert_trace_rejected(trace, tmp_path, capsys)
 
     def test_ties_without_jitter_exit_three(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -200,6 +217,11 @@ def _without(key):
 
 def _with(key, value):
     return lambda payload: json.dumps({**payload, key: value})
+
+
+def _with_parameter(key, value):
+    return lambda payload: json.dumps({**payload,
+                                       "parameters": {**payload["parameters"], key: value}})
 
 
 def _without_parameter(key):
@@ -255,6 +277,15 @@ class TestStoppingReportInputs:
         pytest.param("reference", _without("log_det"), id="reference-no-log_det"),
         pytest.param("reference", lambda payload: json.dumps({"log_det": None}),
                      id="reference-null-log_det"),
+        pytest.param("reference", _with("log_det", True), id="reference-bool-log_det"),
+        pytest.param("reference", _with("log_det", math.nan), id="reference-nan-log_det"),
+        pytest.param("reference", _with("log_det", math.inf), id="reference-inf-log_det"),
+        pytest.param("reference", _with("log_det", 10**400), id="reference-huge-log_det"),
+        pytest.param("fit", _with_parameter("xi", True), id="fit-bool-parameter"),
+        pytest.param("fit", _with_parameter("xi", math.nan), id="fit-nan-parameter"),
+        pytest.param("fit", _with_parameter("mu", -math.inf), id="fit-inf-parameter"),
+        pytest.param("fit", _with_parameter("sigma", -1.0), id="fit-negative-sigma"),
+        pytest.param("fit", _with_parameter("sigma", 0), id="fit-zero-sigma"),
     ])
     def test_malformed_input_exits_two(self, inputs, tmp_path, capsys, target, corrupt):
         bad = tmp_path / inputs[target].name

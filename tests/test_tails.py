@@ -257,6 +257,22 @@ class TestFittedCdfPlumbing:
         with pytest.raises(ValueError, match="missing parameter"):
             FittedCdf(family, params, sample=np.arange(50.0))
 
+    @pytest.mark.parametrize("family,params,name", [
+        ("gpd", {"mu": 0.0, "sigma": 1.0, "xi": 0.1, "p_tail": 0.1}, "sigma"),
+        ("weibull", {"shape": 2.0, "scale": 1.0}, "shape"),
+        ("weibull", {"shape": 2.0, "scale": 1.0}, "scale"),
+        ("cens_weibull", {"shape": 2.0, "scale": 1.0}, "shape"),
+        ("cens_weibull", {"shape": 2.0, "scale": 1.0}, "scale"),
+        ("lognormal", {"mu": 0.0, "sigma": 1.0}, "sigma"),
+        ("exponential", {"rate": 1.0, "loc": 0.0}, "rate"),
+    ])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_nonpositive_scale_or_shape_raises_at_construction(self, family, params,
+                                                               name, bad):
+        FittedCdf(family, params, sample=np.arange(50.0))
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            FittedCdf(family, {**params, name: bad}, sample=np.arange(50.0))
+
     def test_composite_needs_sample(self):
         with pytest.raises(ValueError, match="values"):
             fitted_cdf_from_params("empirical", {})

@@ -219,11 +219,14 @@ def load_kernel(path) -> KernelMatrix:
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
-            raise InputFormatError(f"non-numeric cell in row {len(rows) + 1}") from None
+            raise InputFormatError(f"non-numeric cell in row {len(rows) + 1}: {path}") from None
     width = len(rows[0])
     if any(len(r) != width for r in rows) or len(rows) != width:
-        raise InputFormatError("non-square matrix")
-    return KernelMatrix(rows, labels=labels)
+        raise InputFormatError(f"non-square matrix: {path}")
+    try:
+        return KernelMatrix(rows, labels=labels)
+    except InputFormatError as exc:
+        raise InputFormatError(f"{exc}: {path}") from None
 
 
 def save_kernel(K: KernelMatrix, path) -> None:

@@ -100,7 +100,7 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
     return SampleTrace(
         trace.iterations,
         trace.values + jitter_noise(cfg)(trace.n),
-        trace.subsets,
+        trace.index,
         raw_values=trace.values,
     )
 
@@ -108,8 +108,8 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
 def records_from_values(values: np.ndarray, iterations: np.ndarray,
                         subsets=None) -> RecordSequence:
     """Strict running maxima of pairwise-distinct values observed at the
-    given iterations; the records carry their subsets when subsets is
-    given, else none."""
+    given iterations; the records carry their subsets (rows of an (N, k)
+    index array, as tuples) when subsets is given, else none."""
     if np.unique(values).size != values.size:
         raise TieError("unjittered tie: jitter the trace before extracting records")
     idx = np.flatnonzero(record_flags(values))
@@ -117,7 +117,7 @@ def records_from_values(values: np.ndarray, iterations: np.ndarray,
     return RecordSequence(
         values[idx],
         iterations[idx],
-        None if subsets is None else tuple(subsets[i] for i in idx),
+        None if subsets is None else tuple(map(tuple, subsets[idx].tolist())),
         values.size,
         iqr,
     )
@@ -125,7 +125,7 @@ def records_from_values(values: np.ndarray, iterations: np.ndarray,
 
 def extract_records(trace: SampleTrace) -> RecordSequence:
     """Strict running maxima of a trace with pairwise-distinct values."""
-    return records_from_values(trace.values, trace.iterations, trace.subsets)
+    return records_from_values(trace.values, trace.iterations, trace.index)
 
 
 def expected_record_count(n: int):

@@ -543,7 +543,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     trace = SampleTrace(
         np.concatenate(all_iters),
         np.concatenate(all_vals),
-        np.concatenate(all_subs).tolist(),
+        np.concatenate(all_subs),
     )
     trace.stopped_at = stopped_at
     trace.policy_checks = None if state is None else tuple(state.checks)

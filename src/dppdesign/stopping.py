@@ -167,13 +167,16 @@ def _build_row(fit, time, value, epsilons, mode, scale, reference) -> StoppingRo
     )
 
 
-def _increment_setup(records: RecordSequence, epsilons):
-    """Sorted epsilons, increment mode and additive scale for a report."""
+def _increment_setup(records: RecordSequence, epsilons, reference):
+    """Sorted epsilons, increment mode and additive scale for a report;
+    rejects a negative or non-finite epsilon and a non-finite reference."""
     if records.count == 0:
         raise ValueError("record sequence is empty")
     eps = tuple(sorted(float(e) for e in (epsilons or DEFAULT_EPSILONS)))
-    if any(e < 0 for e in eps):
-        raise ValueError("epsilons must be nonnegative")
+    if not all(0 <= e < math.inf for e in eps):
+        raise ValueError(f"epsilons must be finite and nonnegative, got {eps}")
+    if reference is not None and not math.isfinite(reference):
+        raise ValueError(f"reference must be finite, got {reference}")
     if records.values[0] <= 0:
         scale = records.trace_iqr
         if not np.isfinite(scale) or scale <= 0:
@@ -192,7 +195,7 @@ def build_stopping_report(records: RecordSequence, fits, epsilons=None,
     scale the interquartile range of the source trace, and says so in
     increment_mode.
     """
-    eps, mode, scale = _increment_setup(records, epsilons)
+    eps, mode, scale = _increment_setup(records, epsilons, reference)
     reports = []
     for fit in fits:
         rows = tuple(
@@ -216,7 +219,7 @@ def evaluate_latest_record(records: RecordSequence, fit: FittedCdf,
                            epsilons, reference: float | None = None) -> StoppingRow:
     """Stopping diagnostics for the most recent record only: the last row
     of build_stopping_report, without building the others."""
-    eps, mode, scale = _increment_setup(records, epsilons)
+    eps, mode, scale = _increment_setup(records, epsilons, reference)
     return _build_row(fit, records.times[-1], records.values[-1], eps, mode, scale, reference)
 
 

@@ -1,9 +1,20 @@
 """One cell rule for every report CSV and one dump for every report JSON."""
 
-import csv
 import json
 
 import numpy as np
+
+# printf conversion of a numpy column by dtype kind; each row of a 2-D
+# column is one cell of ;-joined values (a subset's indices).
+_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+
+
+def _quote(s: str) -> str:
+    """csv's minimal quoting for rows ending in a newline: a cell holding a
+    comma, quote or newline is quoted, with inner quotes doubled."""
+    if any(c in s for c in ',"\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
 
 def _cell(x) -> str:
@@ -13,22 +24,31 @@ def _cell(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     if isinstance(x, str):
-        return x
+        return _quote(x)
     if isinstance(x, tuple):
         return ";".join(map(str, x))
     return "" if x is None else format(x, "d")
 
 
+def _column(c):
+    """(printf conversions, value sequences) of one column: a numeric numpy
+    column is formatted by its dtype, anything else cell by cell."""
+    if isinstance(c, np.ndarray) and c.dtype.kind in _FORMATS:
+        if c.ndim == 2:
+            return ";".join([_FORMATS[c.dtype.kind]] * c.shape[1]), [v.tolist() for v in c.T]
+        return _FORMATS[c.dtype.kind], [c.tolist()]
+    return "%s", [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c)]
+
+
 def write_csv(path, header, columns) -> None:
     """Header row, then one row per position of the equal-length columns
-    (sequences, or numpy arrays read as Python scalars).  Cells are
-    formatted as their row is written; a string holding a comma, quote or
-    newline is quoted."""
-    cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    (sequences, numpy arrays, or 2-D integer arrays written as ;-joined
+    subsets).  Each row is filled into one printf template."""
+    specs, values = zip(*map(_column, columns))
+    template = ",".join(specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        out.writerows(zip(*cells))
+        fh.write(",".join(map(_quote, header)) + "\n")
+        fh.writelines(template % row for row in zip(*(v for vs in values for v in vs)))
 
 
 def write_json(path, payload) -> None:

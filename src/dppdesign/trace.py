@@ -5,6 +5,9 @@ entries whose running maximum is the best-so-far curve.  Traces round-trip
 through CSV with 17-significant-digit values so files parse losslessly.
 """
 
+import io
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InputFormatError
@@ -25,28 +28,38 @@ def record_flags(values: np.ndarray) -> np.ndarray:
 
 
 class SampleTrace:
-    """Ordered objective evaluations; iterations start at 1 and increase."""
+    """Ordered objective evaluations; iterations start at 1 and increase.
+
+    The subsets are held as one read-only (N, k) int64 array, `index`;
+    `subsets` is the same data as a tuple of tuples, built on first use.
+    """
 
     def __init__(self, iterations, values, subsets, raw_values=None):
         it = np.asarray(iterations, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
         if it.size == 0:
             raise ValueError("trace must be nonempty")
-        if it.size != vals.size or len(subsets) != it.size:
+        # A view, so that marking it read-only leaves a caller's array writable.
+        index = np.asarray(subsets, dtype=np.int64).view()
+        if it.size != vals.size or index.ndim != 2 or len(index) != it.size:
             raise ValueError("trace columns disagree in length")
         if it[0] != 1 or np.any(np.diff(it) <= 0):
             raise ValueError("iterations must increase strictly from 1")
         self.iterations = it
         self.values = vals
-        self.subsets = tuple(tuple(int(i) for i in s) for s in subsets)
+        self.index = index
         if raw_values is not None:
             raw_values = np.asarray(raw_values, dtype=np.float64)
             if raw_values.size != vals.size:
                 raise ValueError("raw values length mismatch")
             raw_values.setflags(write=False)
         self.raw_values = raw_values
-        it.setflags(write=False)
-        vals.setflags(write=False)
+        for arr in (it, vals, index):
+            arr.setflags(write=False)
+
+    @cached_property
+    def subsets(self) -> tuple:
+        return tuple(map(tuple, self.index.tolist()))
 
     @property
     def n(self) -> int:
@@ -59,7 +72,7 @@ class SampleTrace:
     def best(self):
         """(iteration, value, subset) of the first attainment of the maximum."""
         i = int(np.argmax(self.values))
-        return int(self.iterations[i]), float(self.values[i]), self.subsets[i]
+        return int(self.iterations[i]), float(self.values[i]), tuple(self.index[i].tolist())
 
     def __len__(self):
         return self.n
@@ -67,42 +80,42 @@ class SampleTrace:
 
 def write_trace(trace: SampleTrace, path) -> None:
     write_csv(path, TRACE_HEADER.split(","),
-              [trace.iterations, trace.values, record_flags(trace.values), trace.subsets])
+              [trace.iterations, trace.values, record_flags(trace.values), trace.index])
 
 
 def read_trace(path) -> SampleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            header, _, body = fh.read().lstrip().partition("\n")
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
-    if not lines or lines[0] != TRACE_HEADER:
+    if header.strip() != TRACE_HEADER:
         raise InputFormatError(f"not a trace file (bad header): {path}")
-    if len(lines) == 1:
+    first = next((ln for ln in io.StringIO(body) if ln.strip()), None)
+    if first is None:
         raise InputFormatError(f"empty trace: {path}")
-    iterations, values, subsets = [], [], []
-    for ln in lines[1:]:
-        try:
-            it, value, _, subset = ln.split(",")
-            iterations.append(int(it))
-            values.append(float(value))
-            subsets.append(tuple(int(s) for s in subset.split(";") if s))
-        except ValueError:
-            raise InputFormatError(f"malformed trace row in {path}: {ln!r}") from None
+    # One numpy pass over all rows, with k read off the first row's subset
+    # and each subset split into k index cells; the flag is read as text and
+    # ignored, as it is recomputed from the values.
+    k = first.rpartition(",")[2].count(";") + 1
+    dtype = np.dtype([("iteration", "i8"), ("log_det", "f8"), ("flag", "U1"),
+                      ("index", "i8", (k,))])
+    try:
+        rows = np.loadtxt(io.StringIO(body.replace(";", ",")), dtype=dtype,
+                          delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        # numpy's message, without its closing hint to pass `usecols`
+        reason = str(exc).split(";")[0].rstrip(".")
+        raise InputFormatError(f"malformed trace row in {path}: {reason}") from None
+    values = np.ascontiguousarray(rows["log_det"])
     if not np.all(np.isfinite(values)):
         raise InputFormatError(f"trace log_det values must be finite: {path}")
-    try:
-        idx = np.array(subsets, dtype=np.int64)
-    except (ValueError, OverflowError):
+    index = np.ascontiguousarray(rows["index"])
+    if index.min() < 0 or np.any(np.diff(index, axis=1) <= 0):
         raise InputFormatError(
-            f"trace subsets differ in size or overflow int64: {path}"
-        ) from None
-    if idx.shape[1] == 0 or idx.min() < 0 or np.any(np.diff(idx, axis=1) <= 0):
-        raise InputFormatError(
-            f"trace subsets must hold nonempty, nonnegative, strictly increasing "
-            f"indices: {path}"
+            f"trace subsets must hold nonnegative, strictly increasing indices: {path}"
         )
     try:
-        return SampleTrace(iterations, values, subsets)
+        return SampleTrace(np.ascontiguousarray(rows["iteration"]), values, index)
     except ValueError as exc:
         raise InputFormatError(f"{exc}: {path}") from None

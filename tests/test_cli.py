@@ -49,6 +49,17 @@ class TestSolve:
         best_e = json.loads((e / "best.json").read_text())
         assert best_g["log_det"] <= best_e["log_det"] + 1e-12
 
+    @pytest.mark.parametrize("text", ["1,x\n0,1\n", "1,0,0\n0,1,0\n", "1,0.5\n0,1\n"],
+                             ids=["non-numeric", "non-square", "asymmetric"])
+    def test_malformed_kernel_exits_two(self, tmp_path, capsys, text):
+        kern = tmp_path / "kernel.csv"
+        kern.write_text(text)
+        capsys.readouterr()
+        assert run("solve", "--kernel", kern, "--k", 1, "--method", "greedy",
+                   "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err.strip()
+        assert str(kern) in err and "\n" not in err
+
     def test_dpp_solve_writes_trace_and_meta(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run("solve", "--synth-n", 10, "--kernel-seed", 7, "--k", 3,
@@ -244,6 +255,18 @@ class TestStoppingReportInputs:
         assert run("stopping-report", "--trace", trace, "--fits", d / "fit_gpd.json",
                    "--reference-json", reference, "--out-dir", d / "report") == 0
         return {"trace": trace, "fit": d / "fit_gpd.json", "reference": reference}
+
+    @pytest.mark.parametrize("flag", ["--epsilons=nan,0.001", "--epsilons=0.001,inf",
+                                      "--reference=nan", "--reference=inf",
+                                      "--reference=-inf"])
+    def test_non_finite_epsilon_or_reference_exits_one(self, inputs, tmp_path, capsys,
+                                                      flag):
+        capsys.readouterr()
+        assert run("stopping-report", "--trace", inputs["trace"], "--fits", inputs["fit"],
+                   flag, "--out-dir", tmp_path / "report") == 1
+        err = capsys.readouterr().err.strip()
+        assert "finite" in err and "\n" not in err
+        assert not (tmp_path / "report" / "stopping_gpd.csv").exists()
 
     @pytest.mark.parametrize("target,corrupt", [
         pytest.param("fit", None, id="fit-unreadable"),

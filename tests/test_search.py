@@ -252,6 +252,10 @@ class TestTraceRoundTrip:
             SampleTrace([2, 3], [0.0, 1.0], [(0,), (1,)])
         with pytest.raises(ValueError):
             SampleTrace([1, 1], [0.0, 1.0], [(0,), (1,)])
+        with pytest.raises(ValueError):
+            SampleTrace([1, 2], [0.0, 1.0], [(0, 1), (2,)])
+        with pytest.raises(ValueError):
+            SampleTrace([1, 2], [0.0, 1.0], [0, 1])
 
     def test_read_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.csv"

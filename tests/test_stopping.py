@@ -270,6 +270,17 @@ class TestBuildReport:
         with pytest.raises(ValueError, match="nonnegative"):
             evaluate_latest_record(records, exponential_cdf(), (-0.1,))
 
+    @pytest.mark.parametrize("epsilons,reference", [
+        ((math.nan, 0.001), None), ((0.001, math.inf), None),
+        ((0.001,), math.nan), ((0.001,), math.inf), ((0.001,), -math.inf),
+    ])
+    def test_non_finite_epsilon_or_reference_rejected(self, epsilons, reference):
+        records = make_records([1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            build_stopping_report(records, [exponential_cdf()], epsilons, reference)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_latest_record(records, exponential_cdf(), epsilons, reference)
+
 
 class TestReportCsv:
     def test_sentinels_and_layout(self, tmp_path):

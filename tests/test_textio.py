@@ -200,6 +200,8 @@ def test_policy(tmp_path):
         PolicyCheck(2000, -0.0, -0.25, 5e-324, math.inf, "continue"),
         PolicyCheck(3000, 1e308, math.nan, 0.001, 1e6, "stop", "a,b"),
         PolicyCheck(4000, -1e308, -math.inf, 1.0, 2.5, "continue", "plain"),
+        PolicyCheck(5000, 1.0, -0.5, 0.25, 4.0, "continue", "line\nbreak"),
+        PolicyCheck(6000, 1.0, -0.5, 0.25, 4.0, "continue", "carriage\rreturn; tab\t"),
     ]
     same_bytes(tmp_path, old_write_policy_csv, write_policy_csv, checks)
     with open(tmp_path / "new", newline="") as fh:

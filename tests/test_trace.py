@@ -1,0 +1,225 @@
+"""The columnar trace against the text-based trace I/O it replaced.
+
+old_read_trace, old_write_trace and the old_cell/old_write_csv pair they
+write through are verbatim copies of the reader that parsed one row at a
+time and the writer that sent every cell through csv.writer.  The
+columnar reader and the row-template writer must give the same bytes and
+bit-identical arrays, and reject every row the old reader rejected.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from dppdesign.errors import InputFormatError
+from dppdesign.kernels import synth_kernel
+from dppdesign.search import dpp_search
+from dppdesign.trace import TRACE_HEADER, SampleTrace, read_trace, record_flags, write_trace
+
+# ---------------------------------------------------------------------------
+# The replaced reader and writer, kept verbatim as the reference
+
+
+def old_cell(x) -> str:
+    """17 significant digits for a float (so files parse back losslessly;
+    infinities read inf), digits for an int, an empty cell for None and
+    ;-joined indices for a subset tuple."""
+    if isinstance(x, float):
+        return format(x, ".17g")
+    if isinstance(x, str):
+        return x
+    if isinstance(x, tuple):
+        return ";".join(map(str, x))
+    return "" if x is None else format(x, "d")
+
+
+def old_write_csv(path, header, columns) -> None:
+    """Header row, then one row per position of the equal-length columns
+    (sequences, or numpy arrays read as Python scalars).  Cells are
+    formatted as their row is written; a string holding a comma, quote or
+    newline is quoted."""
+    cells = [map(old_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(zip(*cells))
+
+
+def old_write_trace(trace: SampleTrace, path) -> None:
+    old_write_csv(path, TRACE_HEADER.split(","),
+                  [trace.iterations, trace.values, record_flags(trace.values), trace.subsets])
+
+
+def old_read_trace(path) -> SampleTrace:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from None
+    if not lines or lines[0] != TRACE_HEADER:
+        raise InputFormatError(f"not a trace file (bad header): {path}")
+    if len(lines) == 1:
+        raise InputFormatError(f"empty trace: {path}")
+    iterations, values, subsets = [], [], []
+    for ln in lines[1:]:
+        try:
+            it, value, _, subset = ln.split(",")
+            iterations.append(int(it))
+            values.append(float(value))
+            subsets.append(tuple(int(s) for s in subset.split(";") if s))
+        except ValueError:
+            raise InputFormatError(f"malformed trace row in {path}: {ln!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise InputFormatError(f"trace log_det values must be finite: {path}")
+    try:
+        idx = np.array(subsets, dtype=np.int64)
+    except (ValueError, OverflowError):
+        raise InputFormatError(
+            f"trace subsets differ in size or overflow int64: {path}"
+        ) from None
+    if idx.shape[1] == 0 or idx.min() < 0 or np.any(np.diff(idx, axis=1) <= 0):
+        raise InputFormatError(
+            f"trace subsets must hold nonempty, nonnegative, strictly increasing "
+            f"indices: {path}"
+        )
+    try:
+        return SampleTrace(iterations, values, subsets)
+    except ValueError as exc:
+        raise InputFormatError(f"{exc}: {path}") from None
+
+
+# ---------------------------------------------------------------------------
+
+
+def assert_same_trace(new: SampleTrace, old: SampleTrace):
+    """Equal dtypes and shapes, and equal bits in every column."""
+    for a, b in ((new.iterations, old.iterations), (new.values, old.values),
+                 (new.index, old.index)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def round_trip(tmp_path, trace: SampleTrace):
+    """Write with both writers, demand equal bytes, then read the file with
+    both readers and demand bit-identical traces."""
+    old_write_trace(trace, tmp_path / "old.csv")
+    write_trace(trace, tmp_path / "new.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = read_trace(tmp_path / "new.csv")
+    assert_same_trace(back, old_read_trace(tmp_path / "new.csv"))
+    assert_same_trace(back, trace)
+
+
+EDGE_VALUES = [5e-324, -5e-324, 1e308, -1e308, -0.0, -2.5, 1 / 3, -1e-300,
+               2.2250738585072014e-308, 123456789.12345679]
+
+
+@pytest.mark.parametrize("trace", [
+    SampleTrace(range(1, 11), EDGE_VALUES, [(i, i + 7, 2**62) for i in range(10)]),
+    SampleTrace([1, 2, 9, 2**40], [-3.0, -1e308, -0.0, -7.5], [(5,), (0,), (2**62,), (1,)]),
+    SampleTrace([1], [-12.25], [(0, 1, 2)]),
+    SampleTrace([1], [5e-324], [(2**62,)]),
+], ids=["edge-values", "k1", "one-row", "one-cell"])
+def test_round_trip_edge_cases(tmp_path, trace):
+    round_trip(tmp_path, trace)
+
+
+@pytest.fixture(scope="module")
+def search_trace():
+    return dpp_search(synth_kernel(30, 0.5, 1e-6, seed=0), 10, 50_000, seed=0)
+
+
+def test_round_trip_search_trace(tmp_path, search_trace):
+    round_trip(tmp_path, search_trace)
+
+
+# (appended row, whether the old reader accepted it)
+ROWS = [
+    ("3,9,1,0;1,7", False),                 # trailing extra cell
+    ("3,9,1,0;12345678901234567890", False),  # index overflows int64
+    ("3,9,1,0;1.0", False),
+    ("3.0,9,1,0;1", False),
+    ("# 3,9,1,0;1", False),
+    ('3,9,1,"0;1"', False),
+    (" 3 , 9 ,1, 0 ; 1 ", True),            # padded whitespace
+    ("3,9,yes,0;1", True),                  # the flag is not read
+    ("3,+9e0,1,+0;1", True),
+]
+# Rows the old reader took through Python's int() and float() or its
+# skipping of empty index cells and blank lines, which the columnar reader
+# refuses.
+STRICTER = ["1_000,9,1,0;1", "3,9_0,1,0;1", "3,٩,1,0;1", "3,9,1,0;;1",
+            "3,9,1,0;1;", "   \n3,9,1,0;1"]
+
+
+def toy_trace(path, row):
+    path.write_text(f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1,0;1\n{row}\n", encoding="utf-8")
+
+
+def assert_rejected(path):
+    with pytest.raises(InputFormatError) as err:
+        read_trace(path)
+    assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("row,old_accepts", ROWS)
+def test_rows_as_before(tmp_path, row, old_accepts):
+    path = tmp_path / "trace.csv"
+    toy_trace(path, row)
+    if old_accepts:
+        assert_same_trace(read_trace(path), old_read_trace(path))
+    else:
+        with pytest.raises(InputFormatError):
+            old_read_trace(path)
+        assert_rejected(path)
+
+
+@pytest.mark.parametrize("row", STRICTER)
+def test_stricter_rows(tmp_path, row):
+    path = tmp_path / "trace.csv"
+    toy_trace(path, row)
+    old_read_trace(path)
+    assert_rejected(path)
+
+
+def test_crlf_and_blank_lines(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(f"\r\n{TRACE_HEADER}\r\n1,-1,1,0;3\r\n\r\n2,-0.5,1,1;2\r\n\n".encode())
+    assert_same_trace(read_trace(path), old_read_trace(path))
+
+
+# ---------------------------------------------------------------------------
+# SampleTrace storage
+
+
+def test_subsets_in_any_form_give_one_index():
+    rows = [(0, 2), (1, 3), (4, 5)]
+    forms = [np.array(rows), [list(r) for r in rows], tuple(rows)]
+    traces = [SampleTrace([1, 2, 3], [0.0, 1.0, 2.0], s) for s in forms]
+    for t in traces:
+        assert t.index.dtype == np.int64 and t.index.shape == (3, 2)
+        assert np.array_equal(t.index, rows)
+        assert not t.index.flags.writeable
+
+
+def test_caller_array_stays_writeable():
+    index = np.array([[0, 1], [2, 3]])
+    SampleTrace([1, 2], [0.0, 1.0], index)
+    assert index.flags.writeable
+
+
+def test_subsets_view_is_built_once_on_first_use():
+    trace = SampleTrace([1, 2], [0.0, math.pi], np.array([[0, 1], [2, 3]]))
+    assert "subsets" not in vars(trace)
+    assert trace.subsets == ((0, 1), (2, 3))
+    assert trace.subsets is trace.subsets
+    assert all(type(i) is int for s in trace.subsets for i in s)
+
+
+def test_best_is_a_tuple_of_ints():
+    trace = SampleTrace([1, 2, 3], [0.0, 2.0, 2.0], np.array([[0, 1], [2, 3], [4, 5]]))
+    it, value, subset = trace.best()
+    assert (it, value, subset) == (2, 2.0, (2, 3))
+    assert all(type(i) is int for i in subset)

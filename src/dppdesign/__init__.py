@@ -86,7 +86,6 @@ from .tails import (
     fit_gpd_pot,
     fitted_cdf_from_cens_weibull,
     fitted_cdf_from_gpd,
-    fitted_cdf_from_params,
     qq_points,
     write_density_overlay,
     write_fit_report,

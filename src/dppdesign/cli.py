@@ -40,12 +40,12 @@ from .stopping import (
     write_stopping_csv,
 )
 from .tails import (
+    FittedCdf,
     fit_censored_weibull,
     fit_comparators,
     fit_gpd_pot,
     fitted_cdf_from_cens_weibull,
     fitted_cdf_from_gpd,
-    fitted_cdf_from_params,
     qq_points,
     write_density_overlay,
     write_fit_report,
@@ -115,6 +115,7 @@ def _sha256(path) -> str:
 
 
 def _read_config_file(path) -> dict:
+    """Flat key=value lines, each key one of _SOLVE_KEYS; # lines are comments."""
     cfg = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,8 +125,10 @@ def _read_config_file(path) -> dict:
                     continue
                 if "=" not in ln:
                     raise ConfigError(f"bad config line: {ln!r}")
-                key, val = ln.split("=", 1)
-                cfg[key.strip()] = val.strip()
+                key, val = (part.strip() for part in ln.split("=", 1))
+                if key not in _SOLVE_KEYS:
+                    raise ConfigError(f"unknown config key {key!r} in {path}")
+                cfg[key] = val
     except OSError as exc:
         raise InputFormatError(f"cannot read config {path}: {exc}") from None
     return cfg
@@ -283,6 +286,8 @@ def cmd_analyze_records(args) -> int:
 
 def cmd_fit_tail(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    if not families:
+        raise ConfigError("at least one family is required")
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families: {unknown}")
@@ -360,10 +365,10 @@ def cmd_stopping_report(args) -> int:
                 f"fit {path}: parameters must be a JSON object of finite numbers"
             )
         try:
-            fits.append(fitted_cdf_from_params(
-                payload["family"], params, values=jittered.values,
-                shift=payload.get("shift", 0.0), threshold=payload.get("threshold"),
-                loglik=payload.get("loglik"), n_used=payload.get("n_used", 0),
+            fits.append(FittedCdf(
+                payload["family"], params, shift=payload.get("shift", 0.0),
+                threshold=payload.get("threshold"), loglik=payload.get("loglik"),
+                n_used=payload.get("n_used", 0), sample=jittered.values,
             ))
         except ValueError as exc:
             raise InputFormatError(f"fit {path}: {exc}") from None

@@ -48,16 +48,20 @@ class JitterConfig:
 class RecordSequence:
     """Records extracted from one trace.
 
-    values/times/subsets describe the records in order; increments[0] is
-    the trivial record value itself and gaps has one entry per non-trivial
-    record.  trace_iqr is the interquartile range of the source trace,
-    kept for reporting layers that need a scale.
+    values/times/subsets describe the records in order; subsets is a
+    read-only (R, k) int64 array whose row d is record d's subset, or None.
+    increments[0] is the trivial record value itself and gaps has one entry
+    per non-trivial record.  trace_iqr is the interquartile range of the
+    source trace, kept for reporting layers that need a scale.
     """
 
     def __init__(self, values, times, subsets, total_observations, trace_iqr):
         vals = np.asarray(values, dtype=np.float64)
         ts = np.asarray(times, dtype=np.int64)
-        if vals.size == 0 or vals.size != ts.size:
+        # A view, so that marking it read-only leaves a caller's array writable.
+        subs = None if subsets is None else np.asarray(subsets, dtype=np.int64).view()
+        if vals.size == 0 or vals.size != ts.size or (
+                subs is not None and (subs.ndim != 2 or len(subs) != vals.size)):
             raise ValueError("records must be nonempty and aligned")
         if np.any(np.diff(vals) <= 0) or np.any(np.diff(ts) <= 0):
             raise ValueError("record values and times must strictly increase")
@@ -65,13 +69,14 @@ class RecordSequence:
             raise ValueError("the first observation is always a record")
         self.values = vals
         self.times = ts
-        self.subsets = None if subsets is None else tuple(subsets)
+        self.subsets = subs
         self.total_observations = int(total_observations)
         self.trace_iqr = float(trace_iqr)
         self.increments = np.concatenate([[vals[0]], np.diff(vals)])
         self.gaps = np.diff(ts)
-        for arr in (self.values, self.times, self.increments, self.gaps):
-            arr.setflags(write=False)
+        for arr in (self.values, self.times, self.increments, self.gaps, subs):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def count(self) -> int:
@@ -108,8 +113,8 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
 def records_from_values(values: np.ndarray, iterations: np.ndarray,
                         subsets=None) -> RecordSequence:
     """Strict running maxima of pairwise-distinct values observed at the
-    given iterations; the records carry their subsets (rows of an (N, k)
-    index array, as tuples) when subsets is given, else none."""
+    given iterations; the records carry their rows of the (N, k) index
+    array subsets when it is given, else none."""
     if np.unique(values).size != values.size:
         raise TieError("unjittered tie: jitter the trace before extracting records")
     idx = np.flatnonzero(record_flags(values))
@@ -117,7 +122,7 @@ def records_from_values(values: np.ndarray, iterations: np.ndarray,
     return RecordSequence(
         values[idx],
         iterations[idx],
-        None if subsets is None else tuple(map(tuple, subsets[idx].tolist())),
+        None if subsets is None else subsets[idx],
         values.size,
         iqr,
     )

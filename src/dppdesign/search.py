@@ -425,18 +425,6 @@ def _run_range(entries, eig, table, k, seed, lo, hi):
     return iters, vals, subs
 
 
-def _split_ranges(lo: int, hi: int, parts: int):
-    total = hi - lo + 1
-    parts = max(1, min(parts, total))
-    step = total // parts
-    extra = total % parts
-    start = lo
-    for p in range(parts):
-        size = step + (1 if p < extra else 0)
-        yield start, start + size - 1
-        start += size
-
-
 class _PolicyState:
     """Running state of a stopping policy over one search.
 
@@ -521,10 +509,12 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
             if pool is None:
                 results = [_run_range(entries, eig, table, k, seed, lo, hi)]
             else:
-                futures = [
-                    pool.submit(_run_range, entries, eig, table, k, seed, a, b)
-                    for a, b in _split_ranges(lo, hi, workers)
-                ]
+                # Contiguous ranges whose sizes differ by at most one, as ints, so
+                # the iteration array is freed before the first submit forks workers.
+                ranges = [(int(r[0]), int(r[-1])) for r in
+                          np.array_split(np.arange(lo, hi + 1), min(workers, hi - lo + 1))]
+                futures = [pool.submit(_run_range, entries, eig, table, k, seed, a, b)
+                           for a, b in ranges]
                 results = [f.result() for f in futures]
             for iters, vals, subs in results:
                 all_iters.append(iters)

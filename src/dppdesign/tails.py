@@ -10,8 +10,10 @@ are fitted on data shifted by min(x) - 1e-6 and the shift is stored and
 inverted on evaluation.
 """
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize, special
@@ -73,8 +75,13 @@ class _Composite:
     def __init__(self, sample, tail=None):
         self.sorted = np.sort(_check_values(sample))
         self.tail = tail
-        body = self.sorted if tail is None else self.sorted[self.sorted <= tail[0]]
-        self.hist = np.histogram(body, bins="auto", density=True) if body.size else None
+
+    @cached_property
+    def hist(self):
+        """(density, edges) of the body below the tail, or None if empty;
+        built on the first pdf call."""
+        body = self.sorted if self.tail is None else self.sorted[self.sorted <= self.tail[0]]
+        return np.histogram(body, bins="auto", density=True) if body.size else None
 
     def _standard_gpd(self, x, extra_power):
         """GPD survival (extra_power 0) or density (1) at the standardized
@@ -95,12 +102,7 @@ class _Composite:
         return np.where(x >= mu, p_tail * self._standard_gpd(x, 0.0), body)
 
     def pdf(self, x):
-        if self.hist is None:
-            body = np.zeros_like(x)
-        else:
-            dens, edges = self.hist
-            idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, dens.size - 1)
-            body = np.where((x >= edges[0]) & (x <= edges[-1]), dens[idx], 0.0)
+        body = np.zeros_like(x) if self.hist is None else _hist_density(self.hist, x)
         if self.tail is None:
             return body
         mu, sigma, _, p_tail = self.tail
@@ -122,6 +124,13 @@ class _Composite:
         else:
             out[hi] = mu + sigma * (np.power(u, -xi) - 1.0) / xi
         return out
+
+
+def _hist_density(hist, x):
+    """Density of a (density, edges) histogram at x; zero outside its edges."""
+    dens, edges = hist
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, dens.size - 1)
+    return np.where((x >= edges[0]) & (x <= edges[-1]), dens[idx], 0.0)
 
 
 class _Weibull:
@@ -229,7 +238,6 @@ class FittedCdf:
             self._eval = build(self.params, self.shift, sample)
         except KeyError as exc:
             raise ValueError(f"{family} model is missing parameter {exc}") from None
-        self._hist = getattr(self._eval, "hist", None)
 
     def survival(self, x):
         return _elementwise(self._eval.survival, x)
@@ -270,6 +278,10 @@ def _support_shift(x: np.ndarray) -> float:
 
 def _nelder_mead(nll, x0):
     res = optimize.minimize(nll, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    if not res.success:
+        logging.getLogger(__name__).debug(
+            "Nelder-Mead stopped unconverged after %d evaluations: %s", res.nfev, res.message
+        )
     x = res.x
     val = nll(x)
     if not np.all(np.isfinite(x)) or not np.isfinite(val) or val >= _PENALTY:
@@ -434,28 +446,15 @@ def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibull
 
 
 def fit_comparators(values) -> list:
-    """Uncensored Weibull and Log-Normal MLE fits over the whole sample."""
+    """Uncensored Weibull and Log-Normal MLE fits over a whole sample of at
+    least 30 points (the Weibull is the censored fit with nothing censored)."""
     x = _check_values(values)
     if x.var() < 1e-12:
         raise DegenerateSampleError("degenerate sample: variance below 1e-12")
-    shift = _support_shift(x)
-    xs = x - shift
-
-    def nll(params):
-        ll = censored_weibull_loglik(
-            math.exp(params[0]), math.exp(params[1]), xs, 0.0, 0
-        )
-        return _PENALTY if not np.isfinite(ll) else -ll
-
-    k0, s0 = _weibull_regression_start(xs)
-    best, loglik = _nelder_mead(nll, np.array([math.log(k0), math.log(s0)]))
-    weib = FittedCdf(
-        "weibull",
-        {"shape": float(math.exp(best[0])), "scale": float(math.exp(best[1]))},
-        shift=shift,
-        loglik=float(loglik),
-        n_used=xs.size,
-    )
+    fit = fit_censored_weibull(x, 0.0)
+    weib = FittedCdf("weibull", {"shape": fit.shape, "scale": fit.scale},
+                     shift=fit.shift, loglik=fit.loglik, n_used=x.size)
+    xs = x - fit.shift
 
     logs = np.log(xs)
     mu = float(logs.mean())
@@ -471,7 +470,7 @@ def fit_comparators(values) -> list:
     lognorm = FittedCdf(
         "lognormal",
         {"mu": mu, "sigma": sd},
-        shift=shift,
+        shift=fit.shift,
         loglik=ll,
         n_used=xs.size,
     )
@@ -513,16 +512,6 @@ def empirical_cdf(values) -> FittedCdf:
 
 def exponential_cdf(rate: float = 1.0, loc: float = 0.0) -> FittedCdf:
     return FittedCdf("exponential", {"rate": rate, "loc": loc})
-
-
-def fitted_cdf_from_params(family, params, values=None, shift=0.0,
-                           threshold=None, loglik=None, n_used=0) -> FittedCdf:
-    """Rebuild an evaluable model from serialized parameters.
-
-    The composite gpd and empirical families need the sample back.
-    """
-    return FittedCdf(family, params, shift=shift, threshold=threshold,
-                     loglik=loglik, n_used=n_used, sample=values)
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +562,7 @@ def write_density_overlay(fit: FittedCdf, values, path) -> None:
     """CSV of empirical histogram density and fitted density on a
     512-point grid over the sample range."""
     x = _check_values(values)
-    dens, edges = np.histogram(x, bins="auto", density=True)
     grid = np.linspace(x.min(), x.max(), 512)
-    idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, dens.size - 1)
     write_csv(path, ("x", "empirical_density", "fitted_density"),
-              [grid, dens[idx], fit.pdf(grid)])
+              [grid, _hist_density(np.histogram(x, bins="auto", density=True), grid),
+               fit.pdf(grid)])

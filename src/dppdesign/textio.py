@@ -19,14 +19,11 @@ def _quote(s: str) -> str:
 
 def _cell(x) -> str:
     """17 significant digits for a float (so files parse back losslessly;
-    infinities read inf), digits for an int, an empty cell for None and
-    ;-joined indices for a subset tuple."""
+    infinities read inf), digits for an int and an empty cell for None."""
     if isinstance(x, float):
         return format(x, ".17g")
     if isinstance(x, str):
         return _quote(x)
-    if isinstance(x, tuple):
-        return ";".join(map(str, x))
     return "" if x is None else format(x, "d")
 
 

@@ -19,7 +19,7 @@ from dppdesign import (
     record_time_pmf,
     record_value_pdf,
 )
-from dppdesign.records import write_record_log
+from dppdesign.records import RecordSequence, write_record_log
 from dppdesign.trace import SampleTrace
 
 
@@ -110,6 +110,30 @@ class TestExtractRecords:
         tr = make_trace([1.0] * 300)
         jt = jitter_trace(tr, JitterConfig(seed=9))
         extract_records(jt)
+
+
+class TestRecordSubsets:
+    def test_subsets_are_the_record_rows_of_the_index(self):
+        values = np.random.default_rng(3).normal(size=500)
+        index = np.sort(np.random.default_rng(4).choice(40, (500, 3)), axis=1)
+        records = extract_records(SampleTrace(range(1, 501), values, index))
+        subs = records.subsets
+        assert subs.dtype == np.int64 and subs.shape == (records.count, 3)
+        assert not subs.flags.writeable
+        assert np.array_equal(subs, index[records.times - 1])
+
+    def test_caller_array_stays_writable(self):
+        subsets = np.array([[0, 1], [2, 3]])
+        records = RecordSequence([1.0, 2.0], [1, 2], subsets, 2, 1.0)
+        assert subsets.flags.writeable and not records.subsets.flags.writeable
+
+    def test_without_subsets_is_none(self):
+        assert RecordSequence([1.0, 2.0], [1, 3], None, 3, 1.0).subsets is None
+
+    @pytest.mark.parametrize("subsets", [[(0, 1)], [(0, 1), (2,)], [0, 1]])
+    def test_misaligned_subsets_raise(self, subsets):
+        with pytest.raises(ValueError):
+            RecordSequence([1.0, 2.0], [1, 3], subsets, 3, 1.0)
 
 
 class TestExpectedRecordCount:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from dppdesign import (
     GaConfig,
     KernelMatrix,
     SingularSubmatrixError,
+    StoppingPolicy,
     best_subset,
     design_subset,
     dpp_search,
@@ -21,7 +23,7 @@ from dppdesign import (
     log_det_submatrix,
     synth_kernel,
 )
-from dppdesign import streams
+from dppdesign import search, streams
 from dppdesign.kernels import _logdet_psd
 from dppdesign.search import _crossover, _mutate, _tournament
 from dppdesign.trace import SampleTrace, read_trace, write_trace
@@ -220,6 +222,50 @@ class TestDppSearch:
         par = dpp_search(K, 3, 600, seed=4, workers=2)
         assert np.array_equal(seq.values, par.values)
         assert seq.subsets == par.subsets
+
+    @staticmethod
+    def old_split_ranges(lo, hi, parts):
+        """The worker ranges of one block before np.array_split, verbatim."""
+        total = hi - lo + 1
+        parts = max(1, min(parts, total))
+        step = total // parts
+        extra = total % parts
+        start = lo
+        for p in range(parts):
+            size = step + (1 if p < extra else 0)
+            yield start, start + size - 1
+            start += size
+
+    @pytest.mark.parametrize("workers,max_iters,check_every",
+                             [(2, 7, None), (4, 3, None), (3, 10, 4), (5, 23, 7)])
+    def test_worker_ranges_match_old_split(self, monkeypatch, workers, max_iters,
+                                           check_every):
+        submitted = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                assert max_workers == workers
+
+            def submit(self, fn, *args):
+                submitted.append(args[-2:])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)
+        K = synth_kernel(9, 0.5, 1e-6, seed=2)
+        stop = None if check_every is None else StoppingPolicy(check_every=check_every)
+        par = dpp_search(K, 3, max_iters, seed=4, stop=stop, workers=workers)
+        block = check_every or max_iters
+        expect = [r for lo in range(1, max_iters + 1, block)
+                  for r in self.old_split_ranges(lo, min(lo + block - 1, max_iters), workers)]
+        assert submitted == expect
+        assert all(type(i) is int for r in submitted for i in r)
+        seq = dpp_search(K, 3, max_iters, seed=4, stop=stop, workers=1)
+        assert np.array_equal(par.values, seq.values) and np.array_equal(par.index, seq.index)
 
     def test_validation(self, pd6):
         with pytest.raises(ValueError):

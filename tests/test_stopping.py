@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dppdesign import (
+    FittedCdf,
     StoppingPolicy,
     beat_reference_prob,
     build_stopping_report,
@@ -181,16 +182,14 @@ class TestBuildReport:
     def test_gpd_truth_rows_match_hand_computed_ratios(self):
         # composite model with known tail parameters; recompute every
         # reported probability from the closed-form survival function
-        from dppdesign import fitted_cdf_from_params
-
         rng = np.random.default_rng(6)
         sample = np.sort(rng.uniform(0.0, 10.0, 1000))
         mu, sigma, xi, p_tail = 9.0, 0.8, -0.25, 0.1
-        model = fitted_cdf_from_params(
+        model = FittedCdf(
             "gpd",
             {"mu": mu, "sigma": sigma, "xi": xi, "p_tail": p_tail},
-            values=sample,
             threshold=mu,
+            sample=sample,
         )
 
         def hand_sf(r):

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -15,9 +16,9 @@ from dppdesign import (
     fit_gpd_pot,
     fitted_cdf_from_cens_weibull,
     fitted_cdf_from_gpd,
-    fitted_cdf_from_params,
     qq_points,
 )
+from dppdesign import tails
 from dppdesign.tails import FittedCdf, censored_weibull_loglik, gpd_exceedance_loglik
 
 
@@ -112,7 +113,7 @@ class TestCompositeGpdCdf:
         model, fit, x = fitted
         p_tail = model.params["p_tail"]
         # below threshold the pdf is the scaled histogram: integrate exactly
-        dens, edges = model._hist
+        dens, edges = model._eval.hist
         below = (1 - p_tail) * float((dens * np.diff(edges)).sum())
         upper = np.inf if fit.xi >= 0 else fit.mu + fit.sigma / -fit.xi
         above, _ = integrate.quad(
@@ -129,13 +130,55 @@ class TestCensoredWeibull:
         assert fit.scale == pytest.approx(1.0, abs=0.05)
         assert fit.n_censored + fit.n_noncensored == 10_000
 
-    def test_zero_quantile_matches_plain_mle(self):
-        x = stats.weibull_min.rvs(1.5, scale=2.0, size=4000, random_state=7)
-        cens = fit_censored_weibull(x, 0.0)
-        plain = next(f for f in fit_comparators(x) if f.family == "weibull")
-        assert cens.shape == pytest.approx(plain.params["shape"], abs=1e-6)
-        assert cens.scale == pytest.approx(plain.params["scale"], abs=1e-6)
-        assert cens.n_censored == 0
+    @staticmethod
+    def old_plain_weibull(x):
+        """(shape, scale, loglik, shift) of the uncensored Weibull fit that
+        fit_comparators ran on its own before it reused the censored fit."""
+        shift = tails._support_shift(x)
+        xs = x - shift
+
+        def nll(params):
+            ll = censored_weibull_loglik(
+                math.exp(params[0]), math.exp(params[1]), xs, 0.0, 0
+            )
+            return tails._PENALTY if not np.isfinite(ll) else -ll
+
+        k0, s0 = tails._weibull_regression_start(xs)
+        best, loglik = tails._nelder_mead(nll, np.array([math.log(k0), math.log(s0)]))
+        return float(math.exp(best[0])), float(math.exp(best[1])), float(loglik), shift
+
+    @pytest.mark.parametrize("sample", [
+        stats.weibull_min.rvs(1.5, scale=2.0, size=4000, random_state=7),
+        np.append(np.random.default_rng(4).normal(size=999), 0.0),
+        stats.weibull_min.rvs(3.0, scale=1.0, size=30, random_state=2),
+    ], ids=["positive", "nonpositive", "thirty"])
+    def test_zero_quantile_matches_plain_mle(self, sample):
+        cens = fit_censored_weibull(sample, 0.0)
+        plain = next(f for f in fit_comparators(sample) if f.family == "weibull")
+        old = self.old_plain_weibull(sample)
+        assert (cens.shape, cens.scale, cens.loglik, cens.shift) == old
+        assert (plain.params["shape"], plain.params["scale"], plain.loglik,
+                plain.shift) == old
+        assert cens.n_censored == 0 and plain.n_used == sample.size
+
+    def test_fewer_than_thirty_points_is_an_error(self):
+        x = stats.weibull_min.rvs(3.0, scale=1.0, size=29, random_state=2)
+        with pytest.raises(InsufficientTailDataError):
+            fit_censored_weibull(x, 0.0)
+        with pytest.raises(InsufficientTailDataError):
+            fit_comparators(x)
+
+    def test_unconverged_fit_is_logged_at_debug(self, monkeypatch, caplog):
+        x = stats.weibull_min.rvs(2.0, scale=1.0, size=500, random_state=3)
+        caplog.set_level(logging.DEBUG, logger="dppdesign.tails")
+        fit_censored_weibull(x, 0.5)
+        assert caplog.records == []
+        monkeypatch.setitem(tails._NM_OPTIONS, "maxfev", 5)
+        fit_censored_weibull(x, 0.5)
+        (record,) = caplog.records
+        assert record.name == "dppdesign.tails" and record.levelno == logging.DEBUG
+        assert "after 5 evaluations" in record.getMessage()
+        assert "Maximum number of function evaluations" in record.getMessage()
 
     def test_all_censored_is_an_error(self):
         rng = np.random.default_rng(11)
@@ -275,7 +318,24 @@ class TestFittedCdfPlumbing:
 
     def test_composite_needs_sample(self):
         with pytest.raises(ValueError, match="values"):
-            fitted_cdf_from_params("empirical", {})
+            FittedCdf("empirical", {})
+
+    def test_histogram_is_built_on_first_pdf_call(self):
+        x = gpd_sample(0.1, 2000, seed=3)
+        model = fitted_cdf_from_gpd(fit_gpd_pot(x, 0.9), x)
+        model.survival(x)
+        model.quantile(0.5)
+        assert "hist" not in vars(model._eval)
+        dens, edges = model._eval.hist
+        body = x[x <= model.threshold]
+        ref_dens, ref_edges = np.histogram(body, bins="auto", density=True)
+        assert np.array_equal(dens, ref_dens) and np.array_equal(edges, ref_edges)
+        grid = np.linspace(x.min() - 1.0, model.threshold, 200)
+        inside = (grid >= edges[0]) & (grid <= edges[-1])
+        idx = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, dens.size - 1)
+        expect = np.where(inside, (1 - model.params["p_tail"]) * dens[idx], 0.0)
+        assert np.array_equal(model.pdf(grid)[grid < model.threshold],
+                              expect[grid < model.threshold])
 
     def test_exponential_survival_precision(self):
         F = exponential_cdf(rate=1.0)
@@ -285,9 +345,7 @@ class TestFittedCdfPlumbing:
         x = gpd_sample(-0.1, 5000, seed=2)
         fit = fit_gpd_pot(x, 0.8)
         model = fitted_cdf_from_gpd(fit, x)
-        clone = fitted_cdf_from_params(
-            "gpd", model.params, values=x, threshold=model.threshold
-        )
+        clone = FittedCdf("gpd", model.params, threshold=model.threshold, sample=x)
         grid = np.linspace(x.min(), x.max(), 50)
         assert np.allclose(model.cdf(grid), clone.cdf(grid))
 

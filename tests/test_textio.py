@@ -215,10 +215,10 @@ def test_header_only(tmp_path):
 
 def test_cells(tmp_path):
     write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"],
-              [[np.int64(7), True], [None, -0.0], [(), (3, 1)], ["x y", "1,2"],
-               np.array([np.inf, 5e-324])])
+              [[np.int64(7), True], [None, -0.0], np.array([[0, 2], [3, 1]]),
+               ["x y", "1,2"], np.array([np.inf, 5e-324])])
     assert (tmp_path / "t.csv").read_text() == (
-        "a,b,c,d,e\n7,,,x y,inf\n1,-0,3;1,\"1,2\",4.9406564584124654e-324\n"
+        "a,b,c,d,e\n7,,0;2,x y,inf\n1,-0,3;1,\"1,2\",4.9406564584124654e-324\n"
     )
 
 

@@ -24,6 +24,7 @@ from scipy import integrate
 
 from . import streams
 from .errors import TieError
+from .tails import sorted_quantile
 from .textio import write_csv
 from .trace import SampleTrace, record_flags
 
@@ -110,27 +111,56 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
     )
 
 
-def records_from_values(values: np.ndarray, iterations: np.ndarray,
-                        subsets=None) -> RecordSequence:
-    """Strict running maxima of pairwise-distinct values observed at the
-    given iterations; the records carry their rows of the (N, k) index
-    array subsets when it is given, else none."""
-    if np.unique(values).size != values.size:
-        raise TieError("unjittered tie: jitter the trace before extracting records")
-    idx = np.flatnonzero(record_flags(values))
-    iqr = float(np.quantile(values, 0.75) - np.quantile(values, 0.25))
-    return RecordSequence(
-        values[idx],
-        iterations[idx],
-        None if subsets is None else subsets[idx],
-        values.size,
-        iqr,
-    )
+_TIE_MESSAGE = "unjittered tie: jitter the trace before extracting records"
+
+
+def _sorted_iqr(srt: np.ndarray) -> float:
+    return sorted_quantile(srt, 0.75) - sorted_quantile(srt, 0.25)
 
 
 def extract_records(trace: SampleTrace) -> RecordSequence:
     """Strict running maxima of a trace with pairwise-distinct values."""
-    return records_from_values(trace.values, trace.iterations, trace.index)
+    srt = np.unique(trace.values)
+    if srt.size != trace.n:
+        raise TieError(_TIE_MESSAGE)
+    idx = np.flatnonzero(record_flags(trace.values))
+    return RecordSequence(trace.values[idx], trace.iterations[idx], trace.index[idx],
+                          trace.n, _sorted_iqr(srt))
+
+
+class RunningPrefix:
+    """A sequence of values observed at iterations 1, 2, ..., grown one
+    block at a time, with the running state that extract_records would
+    compute from the whole prefix, updated from each block alone: the
+    values sorted ascending (each block is merged in), whether two of them
+    tie, and the record values and times."""
+
+    def __init__(self):
+        self.sorted = np.empty(0)
+        self._tied = False
+        self._values = np.empty(0)
+        self._times = np.empty(0, dtype=np.int64)
+
+    def extend(self, block: np.ndarray) -> None:
+        n = self.sorted.size
+        best = self._values[-1] if self._values.size else -np.inf
+        idx = np.flatnonzero(record_flags(np.concatenate([[best], block]))[1:])
+        self._values = np.concatenate([self._values, block[idx]])
+        self._times = np.concatenate([self._times, n + 1 + idx])
+        new = np.sort(block)
+        pos = np.searchsorted(self.sorted, new)
+        inside = pos < n
+        self._tied = self._tied or bool(np.any(new[1:] == new[:-1])
+                                        or np.any(self.sorted[pos[inside]] == new[inside]))
+        self.sorted = np.insert(self.sorted, pos, new)
+
+    def records(self) -> RecordSequence:
+        """The records of the prefix, without subsets; TieError if two
+        values tie."""
+        if self._tied:
+            raise TieError(_TIE_MESSAGE)
+        return RecordSequence(self._values, self._times, None, self.sorted.size,
+                              _sorted_iqr(self.sorted))
 
 
 def expected_record_count(n: int):

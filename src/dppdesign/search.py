@@ -40,9 +40,9 @@ from .kernels import (
     eigendecompose,
     _logdet_psd_stack,
 )
-from .records import JitterConfig, jitter_noise, records_from_values
+from .records import JitterConfig, RunningPrefix, jitter_noise
 from .stopping import PolicyCheck, evaluate_latest_record, should_stop
-from .tails import fit_gpd_pot, fitted_cdf_from_gpd
+from .tails import fit_gpd_sorted, fitted_cdf_from_gpd
 from .trace import SampleTrace
 
 _EXHAUSTIVE_BUDGET = 10**7
@@ -425,41 +425,59 @@ def _run_range(entries, eig, table, k, seed, lo, hi):
     return iters, vals, subs
 
 
+# (entries, eig, table) of the search a pool worker serves: set once in
+# each worker process by the pool's initializer, so futures carry only
+# their iteration range.
+_worker_kernel = None
+
+
+def _init_worker(entries, eig, table):
+    global _worker_kernel
+    _worker_kernel = (entries, eig, table)
+
+
+def _run_range_in_worker(k, seed, lo, hi):
+    return _run_range(*_worker_kernel, k, seed, lo, hi)
+
+
 class _PolicyState:
     """Running state of a stopping policy over one search.
 
-    The jittered values persist across checks: each check draws jitter for
-    its new block only, from the stream jitter_trace uses, and evaluates
-    the policy on values alone.  A prefix the policy cannot evaluate (too
-    few exceedances, a failed fit) does not stop the run; the reason is
-    logged at DEBUG and kept in the check's row.
+    Each check draws jitter for its new block only, from the stream
+    jitter_trace uses, and extends a RunningPrefix with it; the records,
+    threshold and exceedances are read from that state, so a check costs
+    O(block) plus one GPD fit on the exceedances.  A prefix the policy
+    cannot evaluate (a tie, too few exceedances, a failed fit) does not
+    stop the run; the reason is logged at DEBUG and kept in the check's row.
     """
 
     def __init__(self, policy, seed: int):
         self.policy = policy
         self.checks = []
         self._noise = jitter_noise(JitterConfig(seed=seed))
-        self._jittered = np.empty(0)
+        self._prefix = RunningPrefix()
 
     def fires(self, block: np.ndarray) -> bool:
         """Append the next block of raw values and check the policy on the
         whole prefix."""
-        j = self._jittered = np.concatenate([self._jittered, block + self._noise(block.size)])
+        prefix = self._prefix
+        prefix.extend(block + self._noise(block.size))
+        srt = prefix.sorted
         fit = row = None
         try:
-            records = records_from_values(j, np.arange(1, j.size + 1))
-            fit = fit_gpd_pot(j, 0.9)
-            row = evaluate_latest_record(records, fitted_cdf_from_gpd(fit, j),
+            records = prefix.records()
+            fit = fit_gpd_sorted(srt, 0.9)
+            row = evaluate_latest_record(records, fitted_cdf_from_gpd(fit, srt),
                                          (self.policy.epsilon,))
             stop = should_stop(self.policy, row)
             decision, reason = ("stop" if stop else "continue"), ""
         except DesignError as exc:
             logging.getLogger(__name__).debug(
-                "stopping policy not evaluated at prefix length %d: %s", j.size, exc
+                "stopping policy not evaluated at prefix length %d: %s", srt.size, exc
             )
             stop, decision, reason = False, "unevaluable", str(exc)
         self.checks.append(PolicyCheck(
-            iteration=j.size,
+            iteration=srt.size,
             threshold=None if fit is None else fit.mu,
             xi=None if fit is None else fit.xi,
             p_eps=None if row is None else row.eps_probs[self.policy.epsilon],
@@ -478,9 +496,11 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     trace is identical for any worker count and any partitioning.  When a
     stopping policy is supplied it is evaluated on the accumulated trace
     every `check_every` iterations and the trace is truncated at the
-    checkpoint where the policy fires.  The returned trace carries
-    `stopped_at` (None if the policy never fired or none was given) and
-    `policy_checks`: one PolicyCheck per evaluation, None without a policy.
+    checkpoint where the policy fires.  With a pool, the workers sample
+    the next block while the policy checks the last one; a stop discards
+    that block.  The returned trace carries `stopped_at` (None if the
+    policy never fired or none was given) and `policy_checks`: one
+    PolicyCheck per evaluation, None without a policy.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
@@ -501,21 +521,28 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     all_iters, all_vals, all_subs = [], [], []
     stopped_at = None
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(entries, eig, table)) if workers > 1 else None
+
+    def start(lo, hi):
+        """Begin sampling lo..hi; the returned callable gives the results.
+        Without a pool the sampling runs when it is called."""
+        if pool is None:
+            return lambda: [_run_range(entries, eig, table, k, seed, lo, hi)]
+        # Contiguous ranges whose sizes differ by at most one, as ints, so
+        # the iteration array is freed before the first submit forks workers.
+        ranges = [(int(r[0]), int(r[-1])) for r in
+                  np.array_split(np.arange(lo, hi + 1), min(workers, hi - lo + 1))]
+        futures = [pool.submit(_run_range_in_worker, k, seed, a, b) for a, b in ranges]
+        return lambda: [f.result() for f in futures]
+
     try:
-        lo = 1
-        while lo <= max_iters:
-            hi = min(lo + block - 1, max_iters)
-            if pool is None:
-                results = [_run_range(entries, eig, table, k, seed, lo, hi)]
-            else:
-                # Contiguous ranges whose sizes differ by at most one, as ints, so
-                # the iteration array is freed before the first submit forks workers.
-                ranges = [(int(r[0]), int(r[-1])) for r in
-                          np.array_split(np.arange(lo, hi + 1), min(workers, hi - lo + 1))]
-                futures = [pool.submit(_run_range, entries, eig, table, k, seed, a, b)
-                           for a, b in ranges]
-                results = [f.result() for f in futures]
+        pending = start(1, min(block, max_iters))
+        for end in range(block, max_iters + block, block):
+            hi = min(end, max_iters)
+            results = pending()
+            if hi < max_iters:
+                pending = start(hi + 1, min(hi + block, max_iters))
             for iters, vals, subs in results:
                 all_iters.append(iters)
                 all_vals.append(vals)
@@ -525,10 +552,9 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
             ):
                 stopped_at = hi
                 break
-            lo = hi + 1
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
     trace = SampleTrace(
         np.concatenate(all_iters),

@@ -28,8 +28,12 @@ from .textio import write_csv, write_json
 _MIN_EXCEEDANCES = 30
 _XI_EXP_BRANCH = 1e-6  # |xi| below this uses the exponential-limit formulas
 _SHIFT_MARGIN = 1e-6
-_NM_OPTIONS = {"xatol": 1e-9, "fatol": 1e-12, "maxfev": 10_000}
-_PENALTY = 1e18
+_SOLVE_OPTIONS = {"xatol": 1e-10, "maxiter": 500}
+# The GPD fit's coarse grid over u = log1p(theta * z_max): u -> -inf is the
+# support bound theta = -1/z_max and u = 0 the exponential limit theta = 0.
+_GPD_GRID = np.linspace(-20.0, 20.0, 21)
+_XI_MIN = math.nextafter(-0.99, 0.0)  # the shape constraint xi > -0.99
+_LOG_SHAPE_BOUNDS = (-12.0, 12.0)  # the Weibull fit's range of log shape
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,8 @@ class _Composite:
     survival."""
 
     def __init__(self, sample, tail=None):
-        self.sorted = np.sort(_check_values(sample))
+        x = _check_values(sample)
+        self.sorted = x.copy() if np.all(x[1:] >= x[:-1]) else np.sort(x)
         self.tail = tail
 
     @cached_property
@@ -276,33 +281,30 @@ def _support_shift(x: np.ndarray) -> float:
     return 0.0 if m > 0 else m - _SHIFT_MARGIN
 
 
-def _nelder_mead(nll, x0):
-    res = optimize.minimize(nll, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-    if not res.success:
+def sorted_quantile(srt: np.ndarray, q: float) -> float:
+    """np.quantile (linear method) of a sample at level q, read from the
+    sample sorted ascending: the same two order statistics and the same
+    interpolation, without numpy's partition."""
+    v = (srt.size - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    a, b = float(srt[lo]), float(srt[min(lo + 1, srt.size - 1)])
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
+def _bounded_argmin(f, lo: float, hi: float) -> float:
+    """Bounded Brent minimiser of a scalar function on [lo, hi]; a solve
+    that ends on a bound or at its iteration cap is logged at DEBUG."""
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                   options=_SOLVE_OPTIONS)
+    x = float(res.x)
+    if res.status != 0 or min(x - lo, hi - x) <= 1e-6 * (hi - lo):
         logging.getLogger(__name__).debug(
-            "Nelder-Mead stopped unconverged after %d evaluations: %s", res.nfev, res.message
+            "bounded solve on [%g, %g] stopped at %.17g after %d evaluations: %s",
+            lo, hi, x, res.nfev, res.message
         )
-    x = res.x
-    val = nll(x)
-    if not np.all(np.isfinite(x)) or not np.isfinite(val) or val >= _PENALTY:
-        raise NonConvergenceError("optimizer failed to find usable estimates")
-    return x, -val
-
-
-def _gpd_pwm_start(exc: np.ndarray):
-    """Probability-weighted-moment initial values for (sigma, xi)."""
-    srt = np.sort(exc)
-    n = srt.size
-    a0 = srt.mean()
-    a1 = float((srt * (1.0 - (np.arange(1, n + 1) - 0.35) / n)).mean())
-    denom = a0 - 2.0 * a1
-    if denom <= 0 or a1 <= 0:
-        return max(a0, 1e-12), 0.0
-    rho = a0 / a1
-    xi = (4.0 - rho) / (2.0 - rho) if rho != 2.0 else 0.0
-    xi = float(np.clip(xi, -0.9, 0.9))
-    sigma = max(a0 * (1.0 - xi), 1e-12)
-    return sigma, xi
+    return x
 
 
 def gpd_exceedance_loglik(sigma: float, xi: float, exc: np.ndarray) -> float:
@@ -318,73 +320,60 @@ def gpd_exceedance_loglik(sigma: float, xi: float, exc: np.ndarray) -> float:
     return float(-exc.size * math.log(sigma) - (1.0 + 1.0 / xi) * np.log(w).sum())
 
 
-def fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
-    """Peaks-over-threshold GPD fit at the given quantile threshold.
+def _gpd_profile(u: float, exc: np.ndarray, zmax: float):
+    """(negative log-likelihood, sigma, xi) of the exceedances at
+    theta = xi / sigma = expm1(u) / zmax, maximised over the shape.
 
-    Needs at least 30 exceedances.  Maximum likelihood over (log sigma,
-    xi) by Nelder-Mead from probability-weighted-moment starts; shapes
-    are constrained to xi > -0.99 where the likelihood is regular.
+    The unconstrained maximiser is xi = mean(log1p(theta z)); below the
+    constraint the likelihood falls monotonically, so xi is clipped to it.
+    u = 0 is the exponential limit theta = 0, where sigma = mean(z).
     """
-    x = _check_values(values)
+    theta = math.expm1(u) / zmax
+    if theta == 0.0:
+        sigma = float(exc.mean())
+        return exc.size * (math.log(sigma) + 1.0), sigma, 0.0
+    xihat = float(np.log1p(theta * exc).sum()) / exc.size
+    xi = max(xihat, _XI_MIN)
+    sigma = xi / theta
+    # xihat / xi is 1 unless xi is clipped: the term is (1 + 1/xi) xihat
+    return exc.size * (math.log(sigma) + xihat + xihat / xi), sigma, xi
+
+
+def fit_gpd_sorted(srt: np.ndarray, threshold_quantile: float = 0.9) -> GpdFit:
+    """fit_gpd_pot of a finite sample already sorted ascending."""
     if not 0.0 <= threshold_quantile < 1.0:
         raise ValueError("threshold_quantile must lie in [0, 1)")
-    mu = float(np.quantile(x, threshold_quantile))
-    exc = x[x > mu] - mu
+    mu = sorted_quantile(srt, threshold_quantile)
+    exc = srt[np.searchsorted(srt, mu, side="right"):] - mu
     if exc.size < _MIN_EXCEEDANCES:
         raise InsufficientTailDataError(
             f"{exc.size} exceedances above threshold, need >= {_MIN_EXCEEDANCES}"
         )
-    zmax = float(exc.max())
-
-    def nll(params):
-        sigma, xi = math.exp(params[0]), params[1]
-        if xi <= -0.99:
-            return _PENALTY * (1.0 + (0.99 + xi) ** 2)
-        # Grade the support violation so the simplex can walk back in.
-        w_min = 1.0 + xi * zmax / sigma
-        if w_min <= 0.0:
-            return _PENALTY * (1.0 - w_min)
-        ll = gpd_exceedance_loglik(sigma, xi, exc)
-        return _PENALTY if not np.isfinite(ll) else -ll
-
-    s0, xi0 = _gpd_pwm_start(exc)
-    if xi0 < 0:
-        # Moment starts can put the endpoint below the largest exceedance.
-        s0 = max(s0, 1.05 * -xi0 * zmax)
-    starts = [np.array([math.log(s0), xi0]),
-              np.array([math.log(max(exc.mean(), 1e-12)), 0.0])]
-    best, loglik = None, -np.inf
-    for x0 in starts:
-        try:
-            cand, ll = _nelder_mead(nll, x0)
-        except NonConvergenceError:
-            continue
-        if ll > loglik:
-            best, loglik = cand, ll
-    if best is None:
+    zmax = float(exc[-1])
+    # One pass over the exceedances per grid point: a (grid, m) array costs
+    # more than this loop once m reaches thousands.
+    i = int(np.argmin([_gpd_profile(u, exc, zmax)[0] for u in _GPD_GRID]))
+    u = _bounded_argmin(lambda u: _gpd_profile(u, exc, zmax)[0],
+                        _GPD_GRID[max(i - 1, 0)], _GPD_GRID[min(i + 1, _GPD_GRID.size - 1)])
+    nll, sigma, xi = _gpd_profile(u, exc, zmax)
+    if not (math.isfinite(nll) and sigma > 0):
         raise NonConvergenceError("GPD likelihood optimization failed")
-    return GpdFit(
-        mu=mu,
-        sigma=float(math.exp(best[0])),
-        xi=float(best[1]),
-        n_exceed=int(exc.size),
-        loglik=float(loglik),
-        threshold_quantile=threshold_quantile,
-    )
+    return GpdFit(mu=mu, sigma=sigma, xi=xi, n_exceed=int(exc.size), loglik=-nll,
+                  threshold_quantile=threshold_quantile)
 
 
-def _weibull_regression_start(x: np.ndarray):
-    """Slope of log(-log(1-F)) on log(x) gives a starting shape."""
-    srt = np.sort(x)
-    n = srt.size
-    pp = (np.arange(1, n + 1) - 0.5) / n
-    ly = np.log(-np.log1p(-pp))
-    lx = np.log(srt)
-    var = lx.var()
-    shape = 1.0 if var <= 0 else float(np.cov(lx, ly)[0, 1] / var)
-    shape = float(np.clip(shape, 0.05, 50.0))
-    scale = float(np.exp(lx.mean() - ly.mean() / shape))
-    return shape, max(scale, 1e-12)
+def fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
+    """Peaks-over-threshold GPD fit at the given quantile threshold.
+
+    Needs at least 30 exceedances.  Maximum likelihood by Grimshaw's
+    profile in theta = xi / sigma (Technometrics 1993): for a fixed theta
+    the best shape is the mean of log1p(theta z), so a coarse grid over
+    theta > -1/z_max and one bounded scalar solve find the fit.  Shapes
+    are constrained to xi > -0.99, where the likelihood is regular.  The
+    exceedances are taken from the sorted sample, so the fit does not
+    depend on the order of the values.
+    """
+    return fit_gpd_sorted(np.sort(_check_values(values)), threshold_quantile)
 
 
 def censored_weibull_loglik(shape: float, scale: float, noncensored: np.ndarray,
@@ -405,41 +394,85 @@ def censored_weibull_loglik(shape: float, scale: float, noncensored: np.ndarray,
     return ll
 
 
+def _exp_ratio(y: float) -> float:
+    """y / expm1(y), with its limit 1 at y = 0."""
+    return y / math.expm1(y) if y > 0 else 1.0
+
+
+def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
+    """log y solving n1 + n_cens y / expm1(y) = y R, with log_r = log R:
+    the Weibull rate's score equation in y = (censor point / scale)^shape.
+    The root lies between log(n1 / R) and log((n1 + n_cens) / R)."""
+    def excess(ly):
+        return math.log(n1 + n_cens * _exp_ratio(math.exp(ly))) - ly - log_r
+
+    a, b = math.log(n1) - log_r, math.log(n1 + n_cens) - log_r
+    if excess(b) >= 0.0:
+        return b
+    if excess(a) <= 0.0:
+        return a
+    return optimize.brentq(excess, a, b, xtol=1e-14)
+
+
 def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:
     """Weibull MLE with the sample below the threshold left-censored at it.
 
     Samples reaching zero or below are first shifted to strictly positive
     support; threshold_quantile = 0 censors nothing and reduces to the
-    plain Weibull MLE.
+    plain Weibull MLE.  A sample with variance below 1e-12 is degenerate.
+    For a fixed shape k, the best rate b = scale^-k solves one scalar
+    equation in S_k = sum x^k (b = n / S_k when nothing is censored), so
+    one bounded solve over log k finds the fit.
     """
     x = _check_values(values)
     if not 0.0 <= threshold_quantile < 1.0:
         raise ValueError("threshold_quantile must lie in [0, 1)")
+    if x.var() < 1e-12:
+        raise DegenerateSampleError("degenerate sample: variance below 1e-12")
     shift = _support_shift(x)
     xs = x - shift
     thr = float(np.quantile(xs, threshold_quantile))
     nonc = xs[xs >= thr]
-    n_cens = int(xs.size - nonc.size)
-    if nonc.size < _MIN_EXCEEDANCES:
+    n1 = nonc.size
+    n_cens = int(xs.size - n1)
+    if n1 < _MIN_EXCEEDANCES:
         raise InsufficientTailDataError(
-            f"{nonc.size} non-censored points, need >= {_MIN_EXCEEDANCES}"
+            f"{n1} non-censored points, need >= {_MIN_EXCEEDANCES}"
         )
+    # Powers are taken of x / top <= 1, so S_k / top^k never overflows.
+    top = float(nonc.max())
+    log_ratio = np.log(nonc / top)
+    sum_log_ratio = float(log_ratio.sum())
+    log_censor = math.log(thr / top)
 
-    def nll(params):
-        ll = censored_weibull_loglik(
-            math.exp(params[0]), math.exp(params[1]), nonc, thr, n_cens
-        )
-        return _PENALTY if not np.isfinite(ll) else -ll
+    def profile(log_k):
+        """(log-likelihood, log(b top^k)) at the best rate for shape e^log_k."""
+        k = math.exp(log_k)
+        log_s = math.log(float(np.exp(k * log_ratio).sum()))
+        if n_cens:
+            ly = _censored_log_y(n1, n_cens, log_s - k * log_censor)
+            y = math.exp(ly)
+            log_b = ly - k * log_censor
+            b_s = n1 + n_cens * _exp_ratio(y)
+            censored = n_cens * (math.log(-math.expm1(-y)) if y > 0 else ly)
+        else:
+            log_b, b_s, censored = math.log(n1) - log_s, n1, 0.0
+        ll = n1 * (log_k + log_b - math.log(top)) + (k - 1.0) * sum_log_ratio - b_s + censored
+        return ll, log_b
 
-    k0, s0 = _weibull_regression_start(xs)
-    best, loglik = _nelder_mead(nll, np.array([math.log(k0), math.log(s0)]))
+    log_k = _bounded_argmin(lambda t: -profile(t)[0], *_LOG_SHAPE_BOUNDS)
+    loglik, log_b = profile(log_k)
+    shape = math.exp(log_k)
+    scale = top * math.exp(-log_b / shape)
+    if not (math.isfinite(loglik) and scale > 0):
+        raise NonConvergenceError("Weibull likelihood optimization failed")
     return CensWeibullFit(
-        shape=float(math.exp(best[0])),
-        scale=float(math.exp(best[1])),
+        shape=shape,
+        scale=scale,
         threshold=thr + shift,
-        n_noncensored=int(nonc.size),
+        n_noncensored=n1,
         n_censored=n_cens,
-        loglik=float(loglik),
+        loglik=loglik,
         shift=shift,
         threshold_quantile=threshold_quantile,
     )
@@ -449,8 +482,6 @@ def fit_comparators(values) -> list:
     """Uncensored Weibull and Log-Normal MLE fits over a whole sample of at
     least 30 points (the Weibull is the censored fit with nothing censored)."""
     x = _check_values(values)
-    if x.var() < 1e-12:
-        raise DegenerateSampleError("degenerate sample: variance below 1e-12")
     fit = fit_censored_weibull(x, 0.0)
     weib = FittedCdf("weibull", {"shape": fit.shape, "scale": fit.scale},
                      shift=fit.shift, loglik=fit.loglik, n_used=x.size)

@@ -233,6 +233,13 @@ class TestFitTail:
             assert run("fit-tail", "--trace", trace, "--families", family,
                        "--out-dir", tmp_path / "o") == 4
 
+    def test_constant_trace_is_degenerate_for_cens_weibull(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=(3.0,) * 400)
+        assert run("fit-tail", "--trace", trace, "--families", "cens_weibull",
+                   "--out-dir", tmp_path / "o") == 3
+        assert "degenerate sample" in capsys.readouterr().err
+
     @pytest.mark.parametrize("families", [",", "", " , "])
     def test_no_family_exits_one(self, tmp_path, capsys, families):
         trace = tmp_path / "trace.csv"

@@ -19,7 +19,7 @@ from dppdesign import (
     record_time_pmf,
     record_value_pdf,
 )
-from dppdesign.records import RecordSequence, write_record_log
+from dppdesign.records import RecordSequence, RunningPrefix, write_record_log
 from dppdesign.trace import SampleTrace
 
 
@@ -110,6 +110,33 @@ class TestExtractRecords:
         tr = make_trace([1.0] * 300)
         jt = jitter_trace(tr, JitterConfig(seed=9))
         extract_records(jt)
+
+
+class TestRunningPrefix:
+    def test_matches_extract_records_after_every_block(self):
+        values = np.random.default_rng(0).normal(size=3000)
+        prefix = RunningPrefix()
+        cuts = [0, 1, 2, 39, 1000, 2999, 3000]
+        for a, b in zip(cuts, cuts[1:]):
+            prefix.extend(values[a:b])
+            ref = extract_records(SampleTrace(range(1, b + 1), values[:b], [(0,)] * b))
+            got = prefix.records()
+            assert np.array_equal(prefix.sorted, np.sort(values[:b]))
+            assert np.array_equal(got.values, ref.values)
+            assert np.array_equal(got.times, ref.times)
+            assert (got.trace_iqr, got.total_observations) == (ref.trace_iqr, b)
+
+    @pytest.mark.parametrize("blocks", [[[1.0, 2.0, 1.0]], [[1.0, 2.0], [3.0, 2.0]],
+                                        [[1.0, 2.0], [0.5], [2.0]], [[2.0], [2.0, 5.0]]])
+    def test_a_tie_makes_every_later_prefix_unevaluable(self, blocks):
+        prefix = RunningPrefix()
+        for block in blocks:
+            prefix.extend(np.array(block))
+        with pytest.raises(TieError, match="jitter"):
+            prefix.records()
+        prefix.extend(np.array([10.0, 11.0]))
+        with pytest.raises(TieError):
+            prefix.records()
 
 
 class TestRecordSubsets:

@@ -243,8 +243,9 @@ class TestDppSearch:
         submitted = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 assert max_workers == workers
+                initializer(*initargs)
 
             def submit(self, fn, *args):
                 submitted.append(args[-2:])
@@ -252,7 +253,7 @@ class TestDppSearch:
                 future.set_result(fn(*args))
                 return future
 
-            def shutdown(self):
+            def shutdown(self, cancel_futures):
                 pass
 
         monkeypatch.setattr(search, "ProcessPoolExecutor", InlinePool)

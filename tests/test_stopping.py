@@ -430,6 +430,26 @@ class TestIncrementalPolicy:
         assert one.subsets == two.subsets
         assert one.policy_checks == two.policy_checks
 
+    @pytest.mark.parametrize("stop_at_last_block", [False, True])
+    def test_stopped_pool_run_discards_the_next_block(self, stop_at_last_block):
+        import multiprocessing
+
+        import dppdesign as d
+
+        kernel, k, iters, seed, policy, _ = POLICY_CASES["plateau"]
+        K = d.synth_kernel(*kernel[:3], seed=kernel[3])
+        serial = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=1)
+        m = serial.stopped_at
+        assert m is not None and m < iters
+        if stop_at_last_block:
+            iters = m
+        trace = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=2)
+        assert trace.stopped_at == m and trace.n == m
+        assert len(trace.policy_checks) == m // policy.check_every
+        assert trace.policy_checks == serial.policy_checks
+        assert np.array_equal(trace.values, serial.values)
+        assert multiprocessing.active_children() == []
+
     def test_policy_csv_rows(self, tmp_path):
         checks = [PolicyCheck(10, None, None, None, None, "unevaluable",
                               "3 exceedances above threshold, need >= 30"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from dppdesign import (
     DegenerateSampleError,
@@ -18,12 +18,186 @@ from dppdesign import (
     fitted_cdf_from_gpd,
     qq_points,
 )
+import dppdesign as d
 from dppdesign import tails
-from dppdesign.tails import FittedCdf, censored_weibull_loglik, gpd_exceedance_loglik
+from dppdesign.errors import NonConvergenceError
+from dppdesign.tails import (
+    _MIN_EXCEEDANCES,
+    CensWeibullFit,
+    FittedCdf,
+    GpdFit,
+    _check_values,
+    _support_shift,
+    censored_weibull_loglik,
+    gpd_exceedance_loglik,
+)
 
 
 def gpd_sample(xi, n, seed, sigma=1.0):
     return stats.genpareto.rvs(c=xi, scale=sigma, size=n, random_state=seed)
+
+
+# ---------------------------------------------------------------------------
+# The two-parameter Nelder-Mead fits that the profile-likelihood fits
+# replaced, kept verbatim as the oracle (under old_ names).
+
+_NM_OPTIONS = {"xatol": 1e-9, "fatol": 1e-12, "maxfev": 10_000}
+_PENALTY = 1e18
+
+
+def _nelder_mead(nll, x0):
+    res = optimize.minimize(nll, x0, method="Nelder-Mead", options=_NM_OPTIONS)
+    if not res.success:
+        logging.getLogger(__name__).debug(
+            "Nelder-Mead stopped unconverged after %d evaluations: %s", res.nfev, res.message
+        )
+    x = res.x
+    val = nll(x)
+    if not np.all(np.isfinite(x)) or not np.isfinite(val) or val >= _PENALTY:
+        raise NonConvergenceError("optimizer failed to find usable estimates")
+    return x, -val
+
+
+def _gpd_pwm_start(exc: np.ndarray):
+    """Probability-weighted-moment initial values for (sigma, xi)."""
+    srt = np.sort(exc)
+    n = srt.size
+    a0 = srt.mean()
+    a1 = float((srt * (1.0 - (np.arange(1, n + 1) - 0.35) / n)).mean())
+    denom = a0 - 2.0 * a1
+    if denom <= 0 or a1 <= 0:
+        return max(a0, 1e-12), 0.0
+    rho = a0 / a1
+    xi = (4.0 - rho) / (2.0 - rho) if rho != 2.0 else 0.0
+    xi = float(np.clip(xi, -0.9, 0.9))
+    sigma = max(a0 * (1.0 - xi), 1e-12)
+    return sigma, xi
+
+
+def old_fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
+    """Peaks-over-threshold GPD fit at the given quantile threshold.
+
+    Needs at least 30 exceedances.  Maximum likelihood over (log sigma,
+    xi) by Nelder-Mead from probability-weighted-moment starts; shapes
+    are constrained to xi > -0.99 where the likelihood is regular.
+    """
+    x = _check_values(values)
+    if not 0.0 <= threshold_quantile < 1.0:
+        raise ValueError("threshold_quantile must lie in [0, 1)")
+    mu = float(np.quantile(x, threshold_quantile))
+    exc = x[x > mu] - mu
+    if exc.size < _MIN_EXCEEDANCES:
+        raise InsufficientTailDataError(
+            f"{exc.size} exceedances above threshold, need >= {_MIN_EXCEEDANCES}"
+        )
+    zmax = float(exc.max())
+
+    def nll(params):
+        sigma, xi = math.exp(params[0]), params[1]
+        if xi <= -0.99:
+            return _PENALTY * (1.0 + (0.99 + xi) ** 2)
+        # Grade the support violation so the simplex can walk back in.
+        w_min = 1.0 + xi * zmax / sigma
+        if w_min <= 0.0:
+            return _PENALTY * (1.0 - w_min)
+        ll = gpd_exceedance_loglik(sigma, xi, exc)
+        return _PENALTY if not np.isfinite(ll) else -ll
+
+    s0, xi0 = _gpd_pwm_start(exc)
+    if xi0 < 0:
+        # Moment starts can put the endpoint below the largest exceedance.
+        s0 = max(s0, 1.05 * -xi0 * zmax)
+    starts = [np.array([math.log(s0), xi0]),
+              np.array([math.log(max(exc.mean(), 1e-12)), 0.0])]
+    best, loglik = None, -np.inf
+    for x0 in starts:
+        try:
+            cand, ll = _nelder_mead(nll, x0)
+        except NonConvergenceError:
+            continue
+        if ll > loglik:
+            best, loglik = cand, ll
+    if best is None:
+        raise NonConvergenceError("GPD likelihood optimization failed")
+    return GpdFit(
+        mu=mu,
+        sigma=float(math.exp(best[0])),
+        xi=float(best[1]),
+        n_exceed=int(exc.size),
+        loglik=float(loglik),
+        threshold_quantile=threshold_quantile,
+    )
+
+
+def _weibull_regression_start(x: np.ndarray):
+    """Slope of log(-log(1-F)) on log(x) gives a starting shape."""
+    srt = np.sort(x)
+    n = srt.size
+    pp = (np.arange(1, n + 1) - 0.5) / n
+    ly = np.log(-np.log1p(-pp))
+    lx = np.log(srt)
+    var = lx.var()
+    shape = 1.0 if var <= 0 else float(np.cov(lx, ly)[0, 1] / var)
+    shape = float(np.clip(shape, 0.05, 50.0))
+    scale = float(np.exp(lx.mean() - ly.mean() / shape))
+    return shape, max(scale, 1e-12)
+
+
+def old_fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:
+    """Weibull MLE with the sample below the threshold left-censored at it.
+
+    Samples reaching zero or below are first shifted to strictly positive
+    support; threshold_quantile = 0 censors nothing and reduces to the
+    plain Weibull MLE.
+    """
+    x = _check_values(values)
+    if not 0.0 <= threshold_quantile < 1.0:
+        raise ValueError("threshold_quantile must lie in [0, 1)")
+    shift = _support_shift(x)
+    xs = x - shift
+    thr = float(np.quantile(xs, threshold_quantile))
+    nonc = xs[xs >= thr]
+    n_cens = int(xs.size - nonc.size)
+    if nonc.size < _MIN_EXCEEDANCES:
+        raise InsufficientTailDataError(
+            f"{nonc.size} non-censored points, need >= {_MIN_EXCEEDANCES}"
+        )
+
+    def nll(params):
+        ll = censored_weibull_loglik(
+            math.exp(params[0]), math.exp(params[1]), nonc, thr, n_cens
+        )
+        return _PENALTY if not np.isfinite(ll) else -ll
+
+    k0, s0 = _weibull_regression_start(xs)
+    best, loglik = _nelder_mead(nll, np.array([math.log(k0), math.log(s0)]))
+    return CensWeibullFit(
+        shape=float(math.exp(best[0])),
+        scale=float(math.exp(best[1])),
+        threshold=thr + shift,
+        n_noncensored=int(nonc.size),
+        n_censored=n_cens,
+        loglik=float(loglik),
+        shift=shift,
+        threshold_quantile=threshold_quantile,
+    )
+
+
+def run_old(fit, *args):
+    """(result, converged) of an old fit: converged is False when one of
+    its Nelder-Mead runs logged that it stopped unconverged."""
+    logger = logging.getLogger(__name__)
+    seen = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = seen.append
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return fit(*args), not seen
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 class TestGpdFit:
@@ -68,6 +242,78 @@ class TestGpdFit:
             s = fit.sigma * (1 + rng.uniform(-0.1, 0.1))
             t = fit.xi + rng.uniform(-0.1, 0.1) * max(abs(fit.xi), 0.1)
             assert gpd_exceedance_loglik(s, t, exc) <= fit.loglik + 1e-9
+
+
+# name -> (kernel seed, search and jitter seed, rows) of a jittered k = 10
+# search trace on synth_kernel(30, 2.0, 1e-6, kernel seed).
+ORACLE_TRACES = {
+    **{f"trace{s}-{rows // 1000}k": (s, s, rows) for s in range(8) for rows in (5000, 40_000)},
+    "criterion-7": (7, 0, 100_000),
+}
+ORACLE_SHAPES = (-0.4, -0.2, 0.0, 0.2, 0.4)
+
+
+@pytest.fixture(scope="module")
+def trace_values():
+    """values(name): the trace's jittered values; each search runs once, to
+    the longest row count any name asks of it."""
+    cache = {}
+
+    def values(name):
+        kernel_seed, seed, rows = ORACLE_TRACES[name]
+        if (kernel_seed, seed) not in cache:
+            longest = max(r for ks, s, r in ORACLE_TRACES.values() if (ks, s) == (kernel_seed, seed))
+            K = d.synth_kernel(30, 2.0, 1e-6, seed=kernel_seed)
+            trace = d.dpp_search(K, 10, longest, seed=seed, workers=2)
+            cache[kernel_seed, seed] = d.jitter_trace(trace, d.JitterConfig(seed=seed)).values
+        return cache[kernel_seed, seed][:rows]
+    return values
+
+
+class TestProfileFitsAgainstNelderMead:
+    """The profile-likelihood fits reach at least the old fits' likelihood
+    on every sample, and agree with them wherever Nelder-Mead converged."""
+
+    @staticmethod
+    def check(x):
+        for q in (0.0, 0.9):
+            new = fit_gpd_pot(x, q)
+            old, converged = run_old(old_fit_gpd_pot, x, q)
+            assert (new.mu, new.n_exceed) == (old.mu, old.n_exceed)
+            assert new.loglik >= old.loglik - 1e-9 * abs(old.loglik)
+            if converged:
+                assert (new.sigma, new.xi) == pytest.approx((old.sigma, old.xi), rel=1e-6)
+
+            new = fit_censored_weibull(x, q)
+            old, converged = run_old(old_fit_censored_weibull, x, q)
+            assert (new.threshold, new.n_censored, new.shift) == (
+                old.threshold, old.n_censored, old.shift)
+            assert new.loglik >= old.loglik - 1e-9 * abs(old.loglik)
+            if converged:
+                assert (new.shape, new.scale) == pytest.approx((old.shape, old.scale),
+                                                               rel=1e-6)
+
+    @pytest.mark.parametrize("xi", ORACLE_SHAPES)
+    def test_gpd_samples(self, xi):
+        self.check(gpd_sample(xi, 5000, seed=1))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_TRACES))
+    def test_search_traces(self, name, trace_values):
+        self.check(trace_values(name))
+
+    @pytest.mark.parametrize("name", ["trace0-40k", "criterion-7"])
+    def test_gpd_fit_ignores_sample_order(self, name, trace_values):
+        x = trace_values(name)
+        for q in (0.0, 0.9):
+            perm = np.random.default_rng(1).permutation(x)
+            assert fit_gpd_pot(perm, q) == fit_gpd_pot(x, q)
+
+    @pytest.mark.parametrize("q", [0.0, 0.25, 0.5, 0.75, 0.9, 0.999])
+    def test_sorted_quantile_is_numpy_quantile(self, q):
+        rng = np.random.default_rng(2)
+        for n in [*range(1, 60), 999, 1000, 1001, 40_000, 99_999]:
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            assert tails.sorted_quantile(np.sort(x), q) == np.quantile(x, q)
 
 
 class TestCompositeGpdCdf:
@@ -130,23 +376,6 @@ class TestCensoredWeibull:
         assert fit.scale == pytest.approx(1.0, abs=0.05)
         assert fit.n_censored + fit.n_noncensored == 10_000
 
-    @staticmethod
-    def old_plain_weibull(x):
-        """(shape, scale, loglik, shift) of the uncensored Weibull fit that
-        fit_comparators ran on its own before it reused the censored fit."""
-        shift = tails._support_shift(x)
-        xs = x - shift
-
-        def nll(params):
-            ll = censored_weibull_loglik(
-                math.exp(params[0]), math.exp(params[1]), xs, 0.0, 0
-            )
-            return tails._PENALTY if not np.isfinite(ll) else -ll
-
-        k0, s0 = tails._weibull_regression_start(xs)
-        best, loglik = tails._nelder_mead(nll, np.array([math.log(k0), math.log(s0)]))
-        return float(math.exp(best[0])), float(math.exp(best[1])), float(loglik), shift
-
     @pytest.mark.parametrize("sample", [
         stats.weibull_min.rvs(1.5, scale=2.0, size=4000, random_state=7),
         np.append(np.random.default_rng(4).normal(size=999), 0.0),
@@ -155,11 +384,13 @@ class TestCensoredWeibull:
     def test_zero_quantile_matches_plain_mle(self, sample):
         cens = fit_censored_weibull(sample, 0.0)
         plain = next(f for f in fit_comparators(sample) if f.family == "weibull")
-        old = self.old_plain_weibull(sample)
-        assert (cens.shape, cens.scale, cens.loglik, cens.shift) == old
         assert (plain.params["shape"], plain.params["scale"], plain.loglik,
-                plain.shift) == old
+                plain.shift) == (cens.shape, cens.scale, cens.loglik, cens.shift)
         assert cens.n_censored == 0 and plain.n_used == sample.size
+        old, converged = run_old(old_fit_censored_weibull, sample, 0.0)
+        assert converged and cens.shift == old.shift
+        assert (cens.shape, cens.scale) == pytest.approx((old.shape, old.scale), rel=1e-6)
+        assert cens.loglik >= old.loglik - 1e-9 * abs(old.loglik)
 
     def test_fewer_than_thirty_points_is_an_error(self):
         x = stats.weibull_min.rvs(3.0, scale=1.0, size=29, random_state=2)
@@ -173,12 +404,26 @@ class TestCensoredWeibull:
         caplog.set_level(logging.DEBUG, logger="dppdesign.tails")
         fit_censored_weibull(x, 0.5)
         assert caplog.records == []
-        monkeypatch.setitem(tails._NM_OPTIONS, "maxfev", 5)
+        monkeypatch.setitem(tails._SOLVE_OPTIONS, "maxiter", 5)
         fit_censored_weibull(x, 0.5)
         (record,) = caplog.records
         assert record.name == "dppdesign.tails" and record.levelno == logging.DEBUG
         assert "after 5 evaluations" in record.getMessage()
-        assert "Maximum number of function evaluations" in record.getMessage()
+        assert "Maximum number of function calls" in record.getMessage()
+
+    def test_solve_on_its_bound_is_logged_at_debug(self, caplog):
+        # a spread of 1e-7 relative asks for a shape beyond e^12
+        x = 1000.0 + 1e-4 * np.random.default_rng(0).random(200)
+        caplog.set_level(logging.DEBUG, logger="dppdesign.tails")
+        fit = fit_censored_weibull(x, 0.0)
+        assert fit.shape == pytest.approx(math.exp(12.0), rel=1e-6)
+        (record,) = caplog.records
+        assert "bounded solve on [-12, 12] stopped at 11.99" in record.getMessage()
+
+    @pytest.mark.parametrize("n,q", [(400, 0.9), (100, 0.0)])
+    def test_constant_sample_is_degenerate(self, n, q):
+        with pytest.raises(DegenerateSampleError):
+            fit_censored_weibull(np.full(n, 3.0), q)
 
     def test_all_censored_is_an_error(self):
         rng = np.random.default_rng(11)

@@ -105,7 +105,9 @@ class DesignSubset:
 
 
 def _validate_subset(n: int, indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.intp).ravel()
+    idx = np.asarray(indices).ravel()
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got {idx.tolist()}")
     if idx.size == 0:
         raise ValueError("index set must be nonempty")
     if np.unique(idx).size != idx.size:

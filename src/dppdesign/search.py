@@ -23,6 +23,7 @@ arises on the same inputs as under per-candidate scoring.
 
 import logging
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .kernels import (
     design_subset,
     eigendecompose,
     _logdet_psd_stack,
+    _validate_subset,
 )
 from .records import JitterConfig, RunningPrefix, jitter_noise
 from .stopping import PolicyCheck, evaluate_latest_record, should_stop
@@ -278,45 +280,40 @@ class GaConfig:
     generations: int = 100
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
+        for name, low in (("population", 2), ("tournament_size", 1), ("generations", 1)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         for name in ("p_cross", "p_mutprop", "p_mut", "elite_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be positive")
         if self.population < self.tournament_size:
             raise ValueError("population must be >= tournament_size")
-        if self.generations < 1:
-            raise ValueError("generations must be positive")
 
 
-def _tournament(rng, fitness: np.ndarray, size: int) -> int:
-    contenders = rng.integers(0, fitness.size, size=size)
-    return int(contenders[int(np.argmax(fitness[contenders]))])
+def _tournaments(rng, fitness: np.ndarray, count: int, size: int) -> np.ndarray:
+    """Winners of count tournaments among size uniform contenders each; a
+    tie goes to the first contender drawn.  One draw of count * size
+    integers below 2**32 equals count draws of size, so the winners are
+    those of count tournaments held one after another."""
+    contenders = rng.integers(0, fitness.size, size=(count, size))
+    return contenders[np.arange(count), np.argmax(fitness[contenders], axis=1)]
 
 
-def _crossover(rng, a: tuple, b: tuple, k: int) -> tuple:
-    shared = sorted(set(a) & set(b))
-    pool = sorted(set(a) ^ set(b))
-    need = k - len(shared)
-    if need:
-        picks = rng.permutation(len(pool))[:need]
-        shared += [pool[i] for i in picks]
-    return tuple(sorted(shared))
-
-
-def _mutate(rng, individual: tuple, n: int, p_mut: float) -> tuple:
-    inside = list(individual)
-    outside = sorted(set(range(n)) - set(inside))
-    if not outside:
-        return individual
-    for pos in range(len(inside)):
-        if rng.random() < p_mut:
-            oi = int(rng.integers(len(outside)))
-            inside[pos], outside[oi] = outside[oi], inside[pos]
-    return tuple(sorted(inside))
+def _distinct_scores(entries: np.ndarray, sets: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """_exact_scores of every row of sets, of which the first known.size
+    score known; a row's score does not depend on the rows scored with it,
+    so only the first row of each kind outside those is scored."""
+    rows = np.ascontiguousarray(sets)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    vals = np.empty(first.size)
+    new = first >= known.size
+    vals[~new] = known[first[~new]]
+    if new.any():
+        vals[new] = _exact_scores(entries, sets[first[new]])
+    return vals[inverse]
 
 
 def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
@@ -326,76 +323,78 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
     Trace entry 1 is the best of the initial population, entry g+1 the
     best after generation g.  Elitism makes the per-generation best
     non-decreasing.
+
+    Generation g draws from stream (seed, DOMAIN_GA, g), and the elites
+    rank by value, then by subset.  The population is a (P, n) membership
+    array; a generation scores its distinct offspring that are not in the
+    population, in one Cholesky stack.
     """
     cfg = cfg or GaConfig()
-    n = K.dim
+    n, size, t = K.dim, cfg.population, cfg.tournament_size
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     entries = K.entries
 
-    def fit_of(individuals):
-        return _exact_scores(entries, np.array(individuals, dtype=np.intp))
+    if initial_population is None:
+        init_rng = streams.stream(seed, streams.DOMAIN_GA, 0)
+        initial_population = [init_rng.permutation(n)[:k] for _ in range(size)]
+    rows = [_validate_subset(n, list(ind)) for ind in initial_population]
+    if len(rows) != size or any(row.size != k for row in rows):
+        raise ValueError("initial population must hold distinct k-subsets")
+    index = np.sort(rows, axis=1)
+    member = np.zeros((size, n), dtype=bool)
+    np.put_along_axis(member, index, True, axis=1)
+    fitness = _distinct_scores(entries, index, np.empty(0))
 
-    init_rng = streams.stream(seed, streams.DOMAIN_GA, 0)
-    if initial_population is not None:
-        pop = [tuple(sorted(int(i) for i in ind)) for ind in initial_population]
-        if len(pop) != cfg.population or any(len(set(p)) != k for p in pop):
-            raise ValueError("initial population must hold distinct k-subsets")
-    else:
-        pop = [
-            tuple(sorted(init_rng.permutation(n)[:k].tolist()))
-            for _ in range(cfg.population)
-        ]
-    fitness = fit_of(pop)
-
-    iters, vals, subs = [1], [], []
     best_i = int(np.argmax(fitness))
-    vals.append(float(fitness[best_i]))
-    subs.append(pop[best_i])
-
-    n_elite = max(1, round(cfg.elite_fraction * cfg.population))
+    vals, subs = [fitness[best_i]], [index[best_i].tolist()]
+    n_cross = round(cfg.p_cross * size)
+    n_mut = round(cfg.p_mutprop * size)
+    n_elite = max(1, round(cfg.elite_fraction * size))
     for gen in range(1, cfg.generations + 1):
         rng = streams.stream(seed, streams.DOMAIN_GA, gen)
 
-        # Crossover: tournament-select a p_cross proportion, pair them up.
-        n_cross = round(cfg.p_cross * cfg.population)
-        parents = [
-            pop[_tournament(rng, fitness, cfg.tournament_size)]
-            for _ in range(n_cross)
-        ]
-        children = []
-        for a, b in zip(parents[0::2], parents[1::2]):
-            children.append(_crossover(rng, a, b, k))
-            children.append(_crossover(rng, b, a, k))
+        # Crossover: tournament-select n_cross parents and pair them up in
+        # order; an odd last parent has no partner.
+        parents = _tournaments(rng, fitness, n_cross, t)
+        pairs = n_cross // 2
+        a, b = member[parents[0:2 * pairs:2]], member[parents[1:2 * pairs:2]]
+        children = np.repeat(a & b, 2, axis=0)
+        pools = [np.flatnonzero(row) for row in a ^ b]
+        for c, child in enumerate(children):
+            pool = pools[c // 2]
+            if pool.size:
+                child[pool[rng.permutation(pool.size)[:pool.size // 2]]] = True
 
         # Mutation: an equal-probability p_mutprop proportion of the
         # population spawns mutated copies.
-        n_mut = round(cfg.p_mutprop * cfg.population)
-        mut_idx = rng.permutation(cfg.population)[:n_mut]
-        mutants = [_mutate(rng, pop[i], n, cfg.p_mut) for i in mut_idx]
+        mut_idx = rng.permutation(size)[:n_mut]
+        mutants = member[mut_idx]
+        # With no site outside, a mutant is its parent and draws nothing.
+        for row, i in zip(mutants, mut_idx if n > k else ()):
+            inside, outside = index[i].tolist(), np.flatnonzero(~row).tolist()
+            for pos in range(k):
+                if rng.random() < cfg.p_mut:
+                    oi = int(rng.integers(n - k))
+                    inside[pos], outside[oi] = outside[oi], inside[pos]
+            row[:] = False
+            row[inside] = True
 
-        aug = pop + children + mutants
-        aug_fit = np.concatenate(
-            [fitness, fit_of(children + mutants)]
-        ) if children or mutants else fitness.copy()
+        aug = np.concatenate([member, children, mutants])
+        aug_index = np.nonzero(aug)[1].reshape(-1, k)
+        aug_fit = _distinct_scores(entries, aug_index, fitness)
 
         # Selection: elites pass through, the rest come from tournaments.
-        order = sorted(range(len(aug)), key=lambda i: (-aug_fit[i], aug[i]))
-        new_pop = [aug[i] for i in order[:n_elite]]
-        new_fit = [aug_fit[i] for i in order[:n_elite]]
-        while len(new_pop) < cfg.population:
-            i = _tournament(rng, aug_fit, cfg.tournament_size)
-            new_pop.append(aug[i])
-            new_fit.append(aug_fit[i])
-        pop = new_pop
-        fitness = np.array(new_fit)
+        order = np.lexsort((*aug_index.T[::-1], -aug_fit))
+        chosen = np.concatenate([order[:n_elite],
+                                 _tournaments(rng, aug_fit, size - n_elite, t)])
+        member, index, fitness = aug[chosen], aug_index[chosen], aug_fit[chosen]
 
         best_i = int(np.argmax(fitness))
-        iters.append(gen + 1)
-        vals.append(float(fitness[best_i]))
-        subs.append(pop[best_i])
+        vals.append(fitness[best_i])
+        subs.append(index[best_i].tolist())
 
-    return SampleTrace(iters, vals, subs)
+    return SampleTrace(np.arange(1, cfg.generations + 2), vals, subs)
 
 
 # ---------------------------------------------------------------------------

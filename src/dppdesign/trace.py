@@ -83,6 +83,15 @@ def write_trace(trace: SampleTrace, path) -> None:
               [trace.iterations, trace.values, record_flags(trace.values), trace.index])
 
 
+def _load_rows(text: str, k: int) -> np.ndarray:
+    """Trace rows with k-index subsets, each split into k index cells; the
+    flag is read as text and ignored, as it is recomputed from the values."""
+    dtype = np.dtype([("iteration", "i8"), ("log_det", "f8"), ("flag", "U1"),
+                      ("index", "i8", (k,))])
+    return np.loadtxt(io.StringIO(text.replace(";", ",")), dtype=dtype,
+                      delimiter=",", comments=None, ndmin=1)
+
+
 def read_trace(path) -> SampleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -94,19 +103,29 @@ def read_trace(path) -> SampleTrace:
     first = next((ln for ln in io.StringIO(body) if ln.strip()), None)
     if first is None:
         raise InputFormatError(f"empty trace: {path}")
-    # One numpy pass over all rows, with k read off the first row's subset
-    # and each subset split into k index cells; the flag is read as text and
-    # ignored, as it is recomputed from the values.
+    # One numpy pass over all rows, with k read off the first row's subset.
     k = first.rpartition(",")[2].count(";") + 1
-    dtype = np.dtype([("iteration", "i8"), ("log_det", "f8"), ("flag", "U1"),
-                      ("index", "i8", (k,))])
     try:
-        rows = np.loadtxt(io.StringIO(body.replace(";", ",")), dtype=dtype,
-                          delimiter=",", comments=None, ndmin=1)
-    except ValueError as exc:
-        # numpy's message, without its closing hint to pass `usecols`
-        reason = str(exc).split(";")[0].rstrip(".")
-        raise InputFormatError(f"malformed trace row in {path}: {reason}") from None
+        rows = _load_rows(body, k)
+    except ValueError:
+        # numpy's row numbers count from 0 or 1 by the kind of error, and count
+        # index cells as columns, so read each row alone to name its line; the
+        # body starts on the line after the header, the first nonblank one.
+        with open(path, "r", encoding="utf-8") as fh:
+            first_line = next(i for i, ln in enumerate(fh, start=2) if ln.strip())
+        for number, line in enumerate(body.split("\n"), start=first_line):
+            try:
+                if line:
+                    _load_rows(line, k)
+            except ValueError as exc:
+                fields = line.split(",")
+                cells = fields[-1].count(";") + 1
+                reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
+                          f"expected {k} subset indices as in the first row, found {cells}"
+                          if cells != k else str(exc).partition(" at row ")[0])
+                raise InputFormatError(
+                    f"malformed trace row in {path}, line {number}: {reason}") from None
+        raise
     values = np.ascontiguousarray(rows["log_det"])
     if not np.all(np.isfinite(values)):
         raise InputFormatError(f"trace log_det values must be finite: {path}")

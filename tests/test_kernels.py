@@ -131,6 +131,11 @@ class TestLogDetSubmatrix:
             log_det_submatrix(K, [0, 0])
         with pytest.raises(ValueError):
             log_det_submatrix(K, [3])
+        with pytest.raises(ValueError, match="integers"):
+            log_det_submatrix(K, [0, 1.5])
+        with pytest.raises(ValueError, match="integers"):
+            log_det_submatrix(K, np.array([True, False]))
+        assert log_det_submatrix(K, np.array([0, 2], dtype=np.uint8)) == 0.0
 
     @given(seed=st.integers(0, 10_000), size=st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

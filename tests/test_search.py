@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -25,7 +26,6 @@ from dppdesign import (
 )
 from dppdesign import search, streams
 from dppdesign.kernels import _logdet_psd
-from dppdesign.search import _crossover, _mutate, _tournament
 from dppdesign.trace import SampleTrace, read_trace, write_trace
 from conftest import random_pd_kernel
 
@@ -186,6 +186,38 @@ class TestGeneticSearch:
             GaConfig(p_cross=1.5)
         with pytest.raises(ValueError):
             GaConfig(population=3, tournament_size=4)
+        for bad in ({"population": 4.5}, {"generations": 2.5}, {"tournament_size": 2.0},
+                    {"population": True}, {"generations": False}, {"tournament_size": "4"},
+                    {"generations": 0}, {"tournament_size": 0}, {"population": np.float64(10)}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                GaConfig(**bad)
+        cfg = GaConfig(population=np.int64(10), tournament_size=np.int32(3), generations=np.uint8(2))
+        trace = genetic_search(random_pd_kernel(8, seed=1), 3, cfg, seed=0)
+        assert trace.n == 3
+
+    @pytest.mark.parametrize("bad", [(-1, 0, 3), (0, 3, 10), (0, 3, 99), (0, 1.5, 3),
+                                     (0.0, 1.0, 3.0), (0, 3), (0, 3, 3), ("0", "1", "3")])
+    def test_initial_population_indices_are_checked(self, bad):
+        K = synth_kernel(10, 1.0, 1e-6, 1)
+        population = [(0, 1, 2)] * 3 + [bad]
+        with pytest.raises(ValueError):
+            genetic_search(K, 3, GaConfig(population=4, generations=2), seed=0,
+                           initial_population=population)
+
+    def test_initial_population_size_is_checked(self):
+        K = synth_kernel(10, 1.0, 1e-6, 1)
+        with pytest.raises(ValueError, match="distinct k-subsets"):
+            genetic_search(K, 3, GaConfig(population=4, generations=2),
+                           initial_population=[(0, 1, 2)] * 3)
+
+    def test_initial_population_in_any_integer_form(self):
+        K = synth_kernel(10, 1.0, 1e-6, 1)
+        cfg = GaConfig(population=4, generations=3)
+        rows = [(3, 0, 7), (1, 2, 9), (4, 5, 6), (9, 8, 0)]
+        forms = [rows, np.array(rows), np.array(rows, dtype=np.int32), [set(r) for r in rows]]
+        traces = [genetic_search(K, 3, cfg, seed=2, initial_population=f) for f in forms]
+        ref = reference_genetic_search(K, 3, cfg, seed=2, initial_population=rows)
+        assert all(_trace_rows(t) == _trace_rows(ref) for t in traces)
 
 
 class TestDppSearch:
@@ -396,6 +428,36 @@ def reference_exchange(K: KernelMatrix, start: DesignSubset) -> DesignSubset:
     return design_subset(K, current)
 
 
+# The GA's operators as they were before the generation loop was batched;
+# reference_genetic_search calls these, so its draws are the oracle's.
+
+def _tournament(rng, fitness: np.ndarray, size: int) -> int:
+    contenders = rng.integers(0, fitness.size, size=size)
+    return int(contenders[int(np.argmax(fitness[contenders]))])
+
+
+def _crossover(rng, a: tuple, b: tuple, k: int) -> tuple:
+    shared = sorted(set(a) & set(b))
+    pool = sorted(set(a) ^ set(b))
+    need = k - len(shared)
+    if need:
+        picks = rng.permutation(len(pool))[:need]
+        shared += [pool[i] for i in picks]
+    return tuple(sorted(shared))
+
+
+def _mutate(rng, individual: tuple, n: int, p_mut: float) -> tuple:
+    inside = list(individual)
+    outside = sorted(set(range(n)) - set(inside))
+    if not outside:
+        return individual
+    for pos in range(len(inside)):
+        if rng.random() < p_mut:
+            oi = int(rng.integers(len(outside)))
+            inside[pos], outside[oi] = outside[oi], inside[pos]
+    return tuple(sorted(inside))
+
+
 def reference_genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
                    seed: int = 0, initial_population=None) -> SampleTrace:
     """Evolve a population of k-subsets; returns the per-generation trace.
@@ -552,6 +614,80 @@ class TestRankOneOracle:
         ref = reference_genetic_search(K, 12, GaConfig(generations=4), seed=2)
         assert np.array_equal(new.values, ref.values)
         assert new.subsets == ref.subsets
+
+    def test_design_kernel_ga_matches_reference(self):
+        # The design workload's kernel and k, with the default population.
+        K = synth_kernel(200, 0.5, 1e-6, seed=0)
+        cfg = GaConfig(generations=15)
+        for seed in range(2):
+            new = genetic_search(K, 40, cfg, seed=seed)
+            assert _trace_rows(new) == _trace_rows(reference_genetic_search(K, 40, cfg, seed))
+
+    @pytest.mark.parametrize("k,cfg", [
+        (5, GaConfig(population=21, p_cross=0.8, generations=8)),  # 17 parents: one unpaired
+        (5, GaConfig(population=20, p_cross=0.0, generations=8)),
+        (5, GaConfig(population=20, p_mutprop=0.0, generations=8)),
+        (5, GaConfig(population=20, elite_fraction=1.0, generations=8)),
+        (5, GaConfig(population=20, p_mut=1.0, tournament_size=1, generations=8)),
+        (1, GaConfig(population=20, generations=8)),
+        (14, GaConfig(population=20, generations=8)),  # k = n: no site outside
+    ], ids=["odd-n-cross", "no-crossover", "no-mutation", "all-elite", "all-sites-mutate",
+            "k1", "k-equals-n"])
+    def test_ga_edge_configs_match_reference(self, k, cfg):
+        K = random_pd_kernel(14, seed=3)
+        for seed in range(3):
+            new = genetic_search(K, k, cfg, seed)
+            assert _trace_rows(new) == _trace_rows(reference_genetic_search(K, k, cfg, seed))
+
+    def test_scores_only_offspring_new_to_the_population(self, monkeypatch):
+        # Four distinct subsets fill the population of 20, so most offspring
+        # repeat a member.  The reference records every offspring it makes;
+        # after the four initial scores, generation 1 may score only those
+        # that differ from the four, each once.
+        K = synth_kernel(30, 2.0, 1e-6, seed=7)
+        rng = np.random.default_rng(0)
+        four = [tuple(sorted(rng.choice(30, 10, replace=False).tolist())) for _ in range(4)]
+        initial = four * 5
+        cfg = GaConfig(population=20, p_mut=0.02, generations=1)
+        offspring = []
+        module = sys.modules[__name__]
+        for name in ("_crossover", "_mutate"):
+            op = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, op=op: offspring.append(op(*a)) or offspring[-1])
+        ref = reference_genetic_search(K, 10, cfg, 0, initial)
+        scored = []
+        exact = search._exact_scores
+        monkeypatch.setattr(search, "_exact_scores", lambda e, s: scored.append(s.tolist()) or exact(e, s))
+        new = genetic_search(K, 10, cfg, 0, initial)
+        assert _trace_rows(new) == _trace_rows(ref)
+        fresh = set(offspring) - set(four)
+        assert len(offspring) == 14 + 4 and 0 < len(fresh) < 18  # 7 pairs' children, 4 mutants
+        assert sorted(map(tuple, scored[0])) == sorted(four)
+        assert len(scored) == 2 and sorted(map(tuple, scored[1])) == sorted(fresh)
+
+    def test_design_kernel_scores_only_new_offspring(self, monkeypatch):
+        # Each generation's population holds the previous generation's best,
+        # so its scored rows are at most its distinct offspring other than
+        # that subset.
+        K = synth_kernel(200, 0.5, 1e-6, seed=0)
+        cfg = GaConfig(generations=10)
+        offspring = []
+        module = sys.modules[__name__]
+        for name in ("_crossover", "_mutate"):
+            op = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, op=op: offspring.append(op(*a)) or offspring[-1])
+        ref = reference_genetic_search(K, 40, cfg, seed=1)
+        scored = []
+        exact = search._exact_scores
+        monkeypatch.setattr(search, "_exact_scores", lambda e, s: scored.append(s.tolist()) or exact(e, s))
+        new = genetic_search(K, 40, cfg, seed=1)
+        assert _trace_rows(new) == _trace_rows(ref)
+        per_gen = 37 * 2 + 20
+        assert len(offspring) == 10 * per_gen
+        bound = sum(len(set(offspring[g * per_gen:(g + 1) * per_gen]) - {ref.subsets[g]})
+                    for g in range(10))
+        assert all(len(set(map(tuple, rows))) == len(rows) for rows in scored)
+        assert len(scored[0]) == 100 and sum(map(len, scored[1:])) <= bound < 10 * per_gen
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exchange_leaves_no_exactly_improving_swap(self, seed):

@@ -184,6 +184,35 @@ def test_stricter_rows(tmp_path, row):
     assert_rejected(path)
 
 
+# (file text, the 1-based line of its first refused row, the reason given)
+BAD_LINES = [
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,x,1,0;1\n", 3, "could not convert string 'x' to float64"),
+    (f"{TRACE_HEADER}\n1.5,1,1,0;1\n", 2, "could not convert string '1.5' to int64"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1,0;1;5\n", 3,
+     "expected 2 subset indices as in the first row, found 3"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1,0\n", 3,
+     "expected 2 subset indices as in the first row, found 1"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1\n", 3, "expected 4 fields, found 3"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1,0;1,7\n", 3, "expected 4 fields, found 5"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n   \n", 3, "expected 4 fields, found 1"),
+    # Blank lines before the header and between rows, and CRLF endings,
+    # still count as lines of the file.
+    (f"\n\n{TRACE_HEADER}\r\n1,1,1,0;1\r\n\r\n2,2,1,0;y\r\n3,3,1,0\r\n", 6,
+     "could not convert string 'y' to int64"),
+]
+
+
+@pytest.mark.parametrize("text,line,reason", BAD_LINES, ids=[
+    "bad-cell", "fractional-int", "extra-index", "missing-index", "few-fields",
+    "extra-field", "spaces-only", "blank-lines-and-crlf"])
+def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InputFormatError) as err:
+        read_trace(path)
+    assert str(err.value) == f"malformed trace row in {path}, line {line}: {reason}"
+
+
 def test_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(f"\r\n{TRACE_HEADER}\r\n1,-1,1,0;3\r\n\r\n2,-0.5,1,1;2\r\n\n".encode())

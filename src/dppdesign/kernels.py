@@ -18,6 +18,7 @@ _ASYMMETRY_RTOL = 1e-6
 _PIVOT_RTOL = 1e-12
 # Eigenvalues this slightly negative are roundoff and get clamped to zero.
 _EIG_CLAMP_RTOL = 1e-10
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class KernelMatrix:
@@ -105,9 +106,13 @@ class DesignSubset:
 
 
 def _validate_subset(n: int, indices) -> np.ndarray:
-    idx = np.asarray(indices).ravel()
-    if idx.size and idx.dtype.kind not in "iu":
-        raise ValueError(f"indices must be integers, got {idx.tolist()}")
+    arr = np.asarray(indices)
+    idx = arr.ravel()
+    # numpy reads a bool among ints as 0 or 1, so a sequence is searched for one.
+    if idx.size and (idx.dtype.kind not in "iu" or arr is not indices and not _BOOL_TYPES.isdisjoint(
+            map(type, indices if arr.ndim == 1 else np.asarray(indices, dtype=object).flat))):
+        raise ValueError("indices must be integers, got "
+                         f"{np.asarray(indices, dtype=object).ravel().tolist()}")
     if idx.size == 0:
         raise ValueError("index set must be nonempty")
     if np.unique(idx).size != idx.size:

@@ -60,6 +60,8 @@ _CERTIFY_MARGIN = 1e3
 # estimate (largest diagonal entry over smallest pivot) of the best, in
 # log-determinant, are re-scored exactly.
 _RESCORE_RTOL = 1e-10
+# Blocks dpp_search keeps in its pool past the one it awaits.
+_AHEAD = 2
 # Deletions greedy_backward accumulates before applying them to its
 # inverse in one matrix product.
 _DOWNDATE_BLOCK = 32
@@ -495,11 +497,13 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     trace is identical for any worker count and any partitioning.  When a
     stopping policy is supplied it is evaluated on the accumulated trace
     every `check_every` iterations and the trace is truncated at the
-    checkpoint where the policy fires.  With a pool, the workers sample
-    the next block while the policy checks the last one; a stop discards
-    that block.  The returned trace carries `stopped_at` (None if the
-    policy never fired or none was given) and `policy_checks`: one
-    PolicyCheck per evaluation, None without a policy.
+    checkpoint where the policy fires.  With a pool, the _AHEAD blocks
+    after the one being checked are already submitted, so the workers
+    keep sampling while the policy checks; results are taken in block
+    order, and a stop discards the blocks in flight.  The returned trace
+    carries `stopped_at` (None if the policy never fired or none was
+    given) and `policy_checks`: one PolicyCheck per evaluation, None
+    without a policy.
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
@@ -523,9 +527,10 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                initargs=(entries, eig, table)) if workers > 1 else None
 
-    def start(lo, hi):
-        """Begin sampling lo..hi; the returned callable gives the results.
-        Without a pool the sampling runs when it is called."""
+    def start(lo):
+        """Begin sampling the block from lo; the returned callable gives the
+        results.  Without a pool the sampling runs when it is called."""
+        hi = min(lo + block - 1, max_iters)
         if pool is None:
             return lambda: [_run_range(entries, eig, table, k, seed, lo, hi)]
         # Contiguous ranges whose sizes differ by at most one, as ints, so
@@ -535,13 +540,12 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         futures = [pool.submit(_run_range_in_worker, k, seed, a, b) for a, b in ranges]
         return lambda: [f.result() for f in futures]
 
+    los = range(1, max_iters + 1, block)
+    pending = []  # started blocks, oldest first
     try:
-        pending = start(1, min(block, max_iters))
-        for end in range(block, max_iters + block, block):
-            hi = min(end, max_iters)
-            results = pending()
-            if hi < max_iters:
-                pending = start(hi + 1, min(hi + block, max_iters))
+        for j, lo in enumerate(los):
+            pending += map(start, los[j + len(pending):j + _AHEAD + 1])
+            results = pending.pop(0)()
             for iters, vals, subs in results:
                 all_iters.append(iters)
                 all_vals.append(vals)
@@ -549,7 +553,10 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
             if state is not None and state.fires(
                 np.concatenate([vals for _, vals, _ in results])
             ):
-                stopped_at = hi
+                stopped_at = min(lo + block - 1, max_iters)
+                if pool is not None and pending:
+                    logging.getLogger(__name__).debug("policy stopped at %d: discarding %d "
+                                                      "submitted blocks", stopped_at, len(pending))
                 break
     finally:
         if pool is not None:

@@ -92,40 +92,64 @@ def _load_rows(text: str, k: int) -> np.ndarray:
                       delimiter=",", comments=None, ndmin=1)
 
 
+def _comma_lines(body: bytes) -> int:
+    """The number of lines of body that hold commas, if each holds three;
+    else -1.  Among the bytes at or below a comma (commas, line ends,
+    blanks, tabs and plus signs), each line's commas must sit next to each
+    other and its third be followed by its newline, so a blank between
+    them also gives -1."""
+    raw = np.frombuffer(body, np.uint8)
+    marks = np.append(raw[np.flatnonzero(raw <= 44)], 10)
+    at = np.flatnonzero(marks == 44)
+    triples = (at.size % 3 == 0 and np.all(at[2::3] - at[::3] == 2)
+               and np.all(marks[at[2::3] + 1] == 10))
+    return at.size // 3 if triples else -1
+
+
 def read_trace(path) -> SampleTrace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header, _, body = fh.read().lstrip().partition("\n")
+            text = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
+    header, _, body = text.lstrip().partition("\n")
+    # The body starts on the line after the header.  The whole text is
+    # let go before the numpy pass, so that it does not add to its peak.
+    first_line = text.count("\n", 0, len(text) - len(body)) + 1
+    del text
     if header.strip() != TRACE_HEADER:
         raise InputFormatError(f"not a trace file (bad header): {path}")
-    first = next((ln for ln in io.StringIO(body) if ln.strip()), None)
-    if first is None:
+    first = body.lstrip().partition("\n")[0]
+    if not first:
         raise InputFormatError(f"empty trace: {path}")
     # One numpy pass over all rows, with k read off the first row's subset.
+    # It reads a comma in a subset as a semicolon, so each row's line must
+    # also hold three commas.
     k = first.rpartition(",")[2].count(";") + 1
+    lines = _comma_lines(body.encode())
     try:
         rows = _load_rows(body, k)
     except ValueError:
+        rows = None
+    if rows is None or lines != rows.size:
         # numpy's row numbers count from 0 or 1 by the kind of error, and count
-        # index cells as columns, so read each row alone to name its line; the
-        # body starts on the line after the header, the first nonblank one.
-        with open(path, "r", encoding="utf-8") as fh:
-            first_line = next(i for i, ln in enumerate(fh, start=2) if ln.strip())
+        # index cells as columns, so each line is checked alone to name it.
         for number, line in enumerate(body.split("\n"), start=first_line):
+            fields = line.split(",")
+            cells = fields[-1].count(";") + 1
+            reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
+                      f"expected {k} subset indices as in the first row, found {cells}"
+                      if cells != k else None)
             try:
-                if line:
+                if line and not reason and rows is None:
                     _load_rows(line, k)
             except ValueError as exc:
-                fields = line.split(",")
-                cells = fields[-1].count(";") + 1
-                reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
-                          f"expected {k} subset indices as in the first row, found {cells}"
-                          if cells != k else str(exc).partition(" at row ")[0])
+                reason = str(exc).partition(" at row ")[0]
+            if line and reason:
                 raise InputFormatError(
-                    f"malformed trace row in {path}, line {number}: {reason}") from None
-        raise
+                    f"malformed trace row in {path}, line {number}: {reason}")
+        if rows is None:
+            rows = _load_rows(body, k)
     values = np.ascontiguousarray(rows["log_det"])
     if not np.all(np.isfinite(values)):
         raise InputFormatError(f"trace log_det values must be finite: {path}")

@@ -135,6 +135,12 @@ class TestLogDetSubmatrix:
             log_det_submatrix(K, [0, 1.5])
         with pytest.raises(ValueError, match="integers"):
             log_det_submatrix(K, np.array([True, False]))
+        # numpy reads a bool among ints as 0 or 1
+        for bad in ([True, 2], (1, np.True_), [[0, False]]):
+            with pytest.raises(ValueError, match="integers"):
+                log_det_submatrix(K, bad)
+            with pytest.raises(ValueError, match="integers"):
+                design_subset(K, bad)
         assert log_det_submatrix(K, np.array([0, 2], dtype=np.uint8)) == 0.0
 
     @given(seed=st.integers(0, 10_000), size=st.integers(1, 4))

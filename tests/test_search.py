@@ -196,7 +196,8 @@ class TestGeneticSearch:
         assert trace.n == 3
 
     @pytest.mark.parametrize("bad", [(-1, 0, 3), (0, 3, 10), (0, 3, 99), (0, 1.5, 3),
-                                     (0.0, 1.0, 3.0), (0, 3), (0, 3, 3), ("0", "1", "3")])
+                                     (0.0, 1.0, 3.0), (0, 3), (0, 3, 3), ("0", "1", "3"),
+                                     (True, 2, 3), (0, np.True_, 3)])
     def test_initial_population_indices_are_checked(self, bad):
         K = synth_kernel(10, 1.0, 1e-6, 1)
         population = [(0, 1, 2)] * 3 + [bad]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -431,19 +432,25 @@ class TestIncrementalPolicy:
         assert one.policy_checks == two.policy_checks
 
     @pytest.mark.parametrize("stop_at_last_block", [False, True])
-    def test_stopped_pool_run_discards_the_next_block(self, stop_at_last_block):
+    @pytest.mark.parametrize("workers,stop_check", [(2, None), (3, 1), (3, 2)])
+    def test_stopped_pool_run_discards_the_next_block(self, stop_at_last_block, workers,
+                                                       stop_check):
         import multiprocessing
 
         import dppdesign as d
 
         kernel, k, iters, seed, policy, _ = POLICY_CASES["plateau"]
         K = d.synth_kernel(*kernel[:3], seed=kernel[3])
+        if stop_check is not None:
+            # the plateau policy first fires at 1500, the third check of 500
+            policy = dataclasses.replace(policy, check_every=1500 // stop_check)
         serial = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=1)
         m = serial.stopped_at
         assert m is not None and m < iters
+        assert stop_check is None or m == stop_check * policy.check_every
         if stop_at_last_block:
             iters = m
-        trace = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=2)
+        trace = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=workers)
         assert trace.stopped_at == m and trace.n == m
         assert len(trace.policy_checks) == m // policy.check_every
         assert trace.policy_checks == serial.policy_checks
@@ -461,3 +468,93 @@ class TestIncrementalPolicy:
             '10,,,,,unevaluable,"3 exceedances above threshold, need >= 30"',
             "20,1.5,-0.25,0.125,inf,stop,",
         ]
+
+
+class DeferredPool:
+    """A stand-in for the search's process pool: a future runs its range
+    in this process when its result is first asked for.  The pool records
+    each submitted range and each awaited one, in order, and each
+    shutdown's cancel_futures."""
+
+    last = None
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+        self.events, self.shutdowns = [], []
+        DeferredPool.last = self
+
+    def submit(self, fn, *args):
+        pool, span = self, args[-2:]
+        pool.events.append(("submit", span))
+
+        class Deferred:
+            def result(self):
+                pool.events.append(("result", span))
+                return fn(*args)
+
+        return Deferred()
+
+    def shutdown(self, cancel_futures):
+        self.shutdowns.append(cancel_futures)
+
+
+def block_ranges(iters, block, workers):
+    """The (lo, hi) ranges of each block, as dpp_search splits them."""
+    return [[(int(r[0]), int(r[-1])) for r in
+             np.array_split(np.arange(lo, min(lo + block - 1, iters) + 1),
+                            min(workers, min(lo + block - 1, iters) - lo + 1))]
+            for lo in range(1, iters + 1, block)]
+
+
+class TestLookAhead:
+    def run(self, monkeypatch, case, workers, iters=None, **changes):
+        import dppdesign as d
+        from dppdesign import search
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", DeferredPool)
+        kernel, k, case_iters, seed, policy, _ = POLICY_CASES[case]
+        iters = iters or case_iters
+        policy = dataclasses.replace(policy, **changes)
+        K = d.synth_kernel(*kernel[:3], seed=kernel[3])
+        serial = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=1)
+        trace = d.dpp_search(K, k, iters, seed=seed, stop=policy, workers=workers)
+        return serial, trace, DeferredPool.last, block_ranges(iters, policy.check_every, workers)
+
+    @pytest.mark.parametrize("case,workers,changes", [
+        ("plateau", 3, {}), ("plateau", 2, {"check_every": 750}),
+        ("unevaluable", 3, {"check_every": 3}), ("criterion-7", 2, {"check_every": 2500}),
+    ])
+    def test_two_blocks_ahead_and_same_output(self, monkeypatch, case, workers, changes):
+        serial, trace, pool, blocks = self.run(monkeypatch, case, workers, **changes)
+        # when block j is first awaited, the blocks up to j + 2 are submitted
+        submitted = []
+        awaited = 0
+        for kind, span in pool.events:
+            if kind == "submit":
+                submitted.append(span)
+            elif awaited < len(blocks) and span == blocks[awaited][0]:
+                expect = [r for b in blocks[:min(awaited + 3, len(blocks))] for r in b]
+                assert submitted == expect
+                awaited += 1
+        assert awaited == len(trace.policy_checks)
+        assert pool.shutdowns == [True]
+        assert trace.stopped_at == serial.stopped_at
+        assert np.array_equal(trace.iterations, serial.iterations)
+        assert np.array_equal(trace.values, serial.values)
+        assert np.array_equal(trace.index, serial.index)
+        assert trace.policy_checks == serial.policy_checks
+
+    def test_a_stop_logs_the_discarded_blocks(self, monkeypatch, caplog):
+        _, trace, pool, _ = self.run(monkeypatch, "plateau", 3, check_every=750)
+        assert trace.stopped_at == 1500 and pool.shutdowns == [True]
+        assert [r for r in caplog.records if r.name == "dppdesign.search"] == []
+        with caplog.at_level("DEBUG", logger="dppdesign.search"):
+            self.run(monkeypatch, "plateau", 3, check_every=750)
+        messages = [r.getMessage() for r in caplog.records if r.name == "dppdesign.search"]
+        assert messages == ["policy stopped at 1500: discarding 2 submitted blocks"]
+        # a stop at the last block has nothing in flight
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="dppdesign.search"):
+            _, trace, _, _ = self.run(monkeypatch, "plateau", 3, iters=1500, check_every=750)
+        assert trace.stopped_at == 1500
+        assert [r for r in caplog.records if r.name == "dppdesign.search"] == []

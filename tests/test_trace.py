@@ -199,12 +199,20 @@ BAD_LINES = [
     # still count as lines of the file.
     (f"\n\n{TRACE_HEADER}\r\n1,1,1,0;1\r\n\r\n2,2,1,0;y\r\n3,3,1,0\r\n", 6,
      "could not convert string 'y' to int64"),
+    # A comma between subset indices: the row has the cell count of a good
+    # one, so only its line's comma count refuses it.
+    (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-2,1,3,4\n", 3, "expected 4 fields, found 5"),
+    # One comma too many on a line and one too few on the next: the file
+    # holds three commas and one semicolon a row, as a good file does.
+    (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-2,1,3,4\n3,-1,0;1;2\n", 3, "expected 4 fields, found 5"),
+    (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-1,0;1;2\n3,-2,1,3,4\n", 3, "expected 4 fields, found 3"),
 ]
 
 
 @pytest.mark.parametrize("text,line,reason", BAD_LINES, ids=[
     "bad-cell", "fractional-int", "extra-index", "missing-index", "few-fields",
-    "extra-field", "spaces-only", "blank-lines-and-crlf"])
+    "extra-field", "spaces-only", "blank-lines-and-crlf", "comma-in-subset",
+    "balanced-commas", "balanced-commas-reversed"])
 def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())
@@ -217,6 +225,24 @@ def test_crlf_and_blank_lines(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(f"\r\n{TRACE_HEADER}\r\n1,-1,1,0;3\r\n\r\n2,-0.5,1,1;2\r\n\n".encode())
     assert_same_trace(read_trace(path), old_read_trace(path))
+
+
+@pytest.mark.parametrize("text", [
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n",
+    f"\r\n{TRACE_HEADER}\r\n1,-1,1,0;3\r\n\r\n2,-0.5,1,1;2\r\n\n",
+    f"{TRACE_HEADER}\r1,-1,1,0;3\r2,-0.5,1,1;2\r",   # CR line ends
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2",      # no final line end
+    f"{TRACE_HEADER}\n1, -1, 1, 0;3\n2,-0.5,1,1;2 \n",  # blanks: each line checked alone
+])
+def test_good_file_is_one_loadtxt_pass(tmp_path, monkeypatch, text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    back = read_trace(path)
+    assert len(calls) == 1
+    assert_same_trace(back, old_read_trace(path))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -51,7 +52,7 @@ from .tails import (
     write_fit_report,
     write_qq_csv,
 )
-from .textio import write_json
+from .textio import read_text, write_json
 from .trace import SampleTrace, read_trace, write_trace
 
 FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
@@ -70,23 +71,15 @@ _STOP_FIELDS = {
     "stop_epsilon": "epsilon", "stop_delta": "delta",
     "stop_max_wait": "max_expected_wait", "stop_check_every": "check_every",
 }
+# solve flag dest -> GaConfig field; each flag takes the field's default
+_GA_FIELDS = {
+    "ga_population": "population", "ga_pcross": "p_cross", "ga_pmutprop": "p_mutprop",
+    "ga_pmut": "p_mut", "ga_elite": "elite_fraction", "ga_tournament": "tournament_size",
+}
 
 
 def _one_row(design):
     return SampleTrace([1], [design.log_det], [design.indices])
-
-
-def _ga(K, args, policy):
-    cfg = GaConfig(
-        population=args.ga_population,
-        p_cross=args.ga_pcross,
-        p_mutprop=args.ga_pmutprop,
-        p_mut=args.ga_pmut,
-        elite_fraction=args.ga_elite,
-        tournament_size=args.ga_tournament,
-        generations=args.max_iters,
-    )
-    return genetic_search(K, args.k, cfg, seed=args.seed)
 
 
 # method -> search(K, args, stopping policy) returning its trace
@@ -96,7 +89,9 @@ METHODS = {
     "greedy": lambda K, a, policy: _one_row(greedy_forward(K, a.k)),
     "greedy-backward": lambda K, a, policy: _one_row(greedy_backward(K, a.k)),
     "exchange": lambda K, a, policy: _one_row(exchange_refine(K, greedy_forward(K, a.k))),
-    "ga": _ga,
+    "ga": lambda K, a, policy: genetic_search(K, a.k, GaConfig(
+        generations=a.max_iters, **{field: getattr(a, flag) for flag, field in _GA_FIELDS.items()}
+    ), seed=a.seed),
     "exhaustive": lambda K, a, policy: _one_row(exhaustive_search(K, a.k)),
 }
 
@@ -117,20 +112,16 @@ def _sha256(path) -> str:
 def _read_config_file(path) -> dict:
     """Flat key=value lines, each key one of _SOLVE_KEYS; # lines are comments."""
     cfg = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise ConfigError(f"bad config line: {ln!r}")
-                key, val = (part.strip() for part in ln.split("=", 1))
-                if key not in _SOLVE_KEYS:
-                    raise ConfigError(f"unknown config key {key!r} in {path}")
-                cfg[key] = val
-    except OSError as exc:
-        raise InputFormatError(f"cannot read config {path}: {exc}") from None
+    for ln in read_text(path, "config").split("\n"):
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        if "=" not in ln:
+            raise ConfigError(f"bad config line: {ln!r}")
+        key, val = (part.strip() for part in ln.split("=", 1))
+        if key not in _SOLVE_KEYS:
+            raise ConfigError(f"unknown config key {key!r} in {path}")
+        cfg[key] = val
     return cfg
 
 
@@ -138,10 +129,7 @@ def _read_json_object(path, what, keys) -> dict:
     """JSON object from path holding every key in keys; anything else is
     an input error that names the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {what} {path}: {exc}") from None
+        payload = json.loads(read_text(path, what))
     except ValueError as exc:
         raise InputFormatError(f"bad {what} JSON {path}: {exc}") from None
     if not isinstance(payload, dict):
@@ -177,14 +165,9 @@ def _load_solve_kernel(args):
         raise ConfigError("exactly one of --kernel or --synth-n is required")
     if args.kernel is not None:
         return load_kernel(args.kernel), {"kernel": str(args.kernel)}
-    params = {
-        "synth_n": args.synth_n,
-        "lengthscale": args.lengthscale,
-        "nugget": args.nugget,
-        "kernel_seed": args.kernel_seed,
-    }
-    K = synth_kernel(args.synth_n, args.lengthscale, args.nugget, args.kernel_seed)
-    return K, params
+    params = {key: getattr(args, key)
+              for key in ("synth_n", "lengthscale", "nugget", "kernel_seed")}
+    return synth_kernel(*params.values()), params
 
 
 def _run_id(payload: dict) -> str:
@@ -302,19 +285,15 @@ def cmd_fit_tail(args) -> int:
         "threshold_quantile": args.threshold_quantile,
     }
 
-    comparators = None
+    q = args.threshold_quantile
+    comparators = {}
     for family in families:
         if family == "gpd":
-            fitted = fitted_cdf_from_gpd(
-                fit_gpd_pot(values, args.threshold_quantile), values
-            )
+            fitted = fitted_cdf_from_gpd(fit_gpd_pot(values, q), values)
         elif family == "cens_weibull":
-            fitted = fitted_cdf_from_cens_weibull(
-                fit_censored_weibull(values, args.threshold_quantile)
-            )
+            fitted = fitted_cdf_from_cens_weibull(fit_censored_weibull(values, q))
         else:
-            if comparators is None:
-                comparators = {f.family: f for f in fit_comparators(values)}
+            comparators = comparators or {f.family: f for f in fit_comparators(values)}
             fitted = comparators[family]
         write_fit_report(fitted, out / f"fit_{family}.json", meta)
         write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv")
@@ -378,14 +357,10 @@ def cmd_stopping_report(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seen = {}
+    seen = Counter()
     for report in build_stopping_report(records, fits, epsilons, reference):
-        tag = report.model
-        if tag in seen:
-            seen[tag] += 1
-            tag = f"{tag}_{seen[report.model]}"
-        else:
-            seen[tag] = 1
+        seen[report.model] += 1
+        tag = report.model if seen[report.model] == 1 else f"{report.model}_{seen[report.model]}"
         write_stopping_csv(report, out / f"stopping_{tag}.csv")
         last = report.rows[-1]
         print(f"{report.model}: {records.count} records, final expected wait "
@@ -407,51 +382,39 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("solve", help="run one search method")
     s.add_argument("--config", help="flat key=value config file; flags override")
-    s.add_argument("--kernel", help="matrix file path")
-    s.add_argument("--synth-n", dest="synth_n", type=int)
-    s.add_argument("--lengthscale", type=float)
-    s.add_argument("--nugget", type=float)
-    s.add_argument("--kernel-seed", dest="kernel_seed", type=int)
-    s.add_argument("--k", type=int)
-    s.add_argument("--method", choices=tuple(METHODS))
-    s.add_argument("--max-iters", dest="max_iters", type=int)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--workers", type=int)
+    extra = {"kernel": {"help": "matrix file path"}, "method": {"choices": tuple(METHODS)}}
+    for key, (cast, _) in _SOLVE_KEYS.items():
+        s.add_argument("--" + key.replace("_", "-"), type=cast, **extra.get(key, {}))
     s.add_argument("--stop", action="store_true",
                    help="enable the stopping policy with default fields")
-    s.add_argument("--stop-epsilon", dest="stop_epsilon", type=float)
-    s.add_argument("--stop-delta", dest="stop_delta", type=float)
-    s.add_argument("--stop-max-wait", dest="stop_max_wait", type=float)
-    s.add_argument("--stop-check-every", dest="stop_check_every", type=int)
-    s.add_argument("--ga-population", dest="ga_population", type=int, default=100)
-    s.add_argument("--ga-pcross", dest="ga_pcross", type=float, default=0.75)
-    s.add_argument("--ga-pmutprop", dest="ga_pmutprop", type=float, default=0.2)
-    s.add_argument("--ga-pmut", dest="ga_pmut", type=float, default=0.05)
-    s.add_argument("--ga-elite", dest="ga_elite", type=float, default=0.1)
-    s.add_argument("--ga-tournament", dest="ga_tournament", type=int, default=4)
+    for flag, field in _GA_FIELDS.items():
+        default = getattr(GaConfig, field)
+        s.add_argument("--" + flag.replace("_", "-"), type=type(default), default=default)
     s.add_argument("--out-dir", dest="out_dir", required=True)
     s.set_defaults(func=cmd_solve)
 
-    a = sub.add_parser("analyze-records", help="extract records from a trace")
-    a.add_argument("--trace", required=True)
-    a.add_argument("--sigma", type=float, default=1e-8,
-                   help="jitter noise scale; 0 skips jittering")
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--out-dir", dest="out_dir", required=True)
+    # flags shared by the trace commands
+    trace_io = argparse.ArgumentParser(add_help=False)
+    trace_io.add_argument("--trace", required=True)
+    trace_io.add_argument("--out-dir", dest="out_dir", required=True)
+    jitter = argparse.ArgumentParser(add_help=False)
+    jitter.add_argument("--sigma", type=float, default=JitterConfig.sigma,
+                        help="jitter noise scale; 0 skips jittering")
+    jitter.add_argument("--seed", type=int, default=JitterConfig.seed)
+
+    a = sub.add_parser("analyze-records", parents=[trace_io, jitter],
+                       help="extract records from a trace")
     a.set_defaults(func=cmd_analyze_records)
 
-    f = sub.add_parser("fit-tail", help="fit tail models to a jittered trace")
-    f.add_argument("--trace", required=True)
+    f = sub.add_parser("fit-tail", parents=[trace_io, jitter],
+                       help="fit tail models to a jittered trace")
     f.add_argument("--threshold-quantile", dest="threshold_quantile",
                    type=float, default=0.9)
     f.add_argument("--families", default=",".join(FAMILIES))
-    f.add_argument("--sigma", type=float, default=1e-8)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--out-dir", dest="out_dir", required=True)
     f.set_defaults(func=cmd_fit_tail)
 
-    r = sub.add_parser("stopping-report", help="Tables-style stopping report")
-    r.add_argument("--trace", required=True)
+    r = sub.add_parser("stopping-report", parents=[trace_io],
+                       help="Tables-style stopping report")
     r.add_argument("--fits", required=True,
                    help="comma-separated fit JSON paths from fit-tail")
     r.add_argument("--epsilons", help="comma-separated increment fractions")
@@ -459,7 +422,6 @@ def build_parser() -> _Parser:
                    help="reference value, e.g. the greedy objective")
     r.add_argument("--reference-json",
                    dest="reference_json", help="best.json holding the reference")
-    r.add_argument("--out-dir", dest="out_dir", required=True)
     r.set_defaults(func=cmd_stopping_report)
     return p
 

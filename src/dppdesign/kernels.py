@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenSolverError, InputFormatError, SingularSubmatrixError
+from .textio import read_text
 
 # Ingest tolerates round-trip noise but rejects genuinely asymmetric input.
 _ASYMMETRY_RTOL = 1e-6
@@ -204,12 +205,7 @@ def load_kernel(path) -> KernelMatrix:
     containing a comma splits on commas.  An optional first line
     "# labels: a,b,c" names the sites.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in lines if ln]
+    lines = [ln for ln in map(str.strip, read_text(path, "kernel").split("\n")) if ln]
     labels = None
     if lines and lines[0].startswith("#"):
         header = lines.pop(0)[1:].strip()

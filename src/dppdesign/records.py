@@ -83,10 +83,6 @@ class RecordSequence:
     def count(self) -> int:
         return self.values.size
 
-    def count_at(self, n: int) -> int:
-        """Number of records among the first n observations."""
-        return int(np.searchsorted(self.times, n, side="right"))
-
 
 def jitter_noise(cfg: JitterConfig):
     """The jitter noise of cfg as a function of a count: noise(m) returns

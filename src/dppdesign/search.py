@@ -521,7 +521,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
 
     block = stop.check_every if stop is not None else max_iters
     state = None if stop is None else _PolicyState(stop, seed)
-    all_iters, all_vals, all_subs = [], [], []
+    sampled = []  # (iterations, values, subsets) of each sampled range, in order
     stopped_at = None
 
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -546,10 +546,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         for j, lo in enumerate(los):
             pending += map(start, los[j + len(pending):j + _AHEAD + 1])
             results = pending.pop(0)()
-            for iters, vals, subs in results:
-                all_iters.append(iters)
-                all_vals.append(vals)
-                all_subs.append(subs)
+            sampled += results
             if state is not None and state.fires(
                 np.concatenate([vals for _, vals, _ in results])
             ):
@@ -562,11 +559,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    trace = SampleTrace(
-        np.concatenate(all_iters),
-        np.concatenate(all_vals),
-        np.concatenate(all_subs),
-    )
+    trace = SampleTrace(*(np.concatenate(column) for column in zip(*sampled)))
     trace.stopped_at = stopped_at
     trace.policy_checks = None if state is None else tuple(state.checks)
     return trace

@@ -1,12 +1,25 @@
-"""One cell rule for every report CSV and one dump for every report JSON."""
+"""One reader for every input file, one cell rule for every report CSV and
+one dump for every report JSON."""
 
 import json
 
 import numpy as np
 
+from .errors import InputFormatError
+
 # printf conversion of a numpy column by dtype kind; each row of a 2-D
 # column is one cell of ;-joined values (a subset's indices).
 _FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+
+
+def read_text(path, what) -> str:
+    """The text of a UTF-8 input file, each line end read as a newline; a
+    file that cannot be read or decoded is an input error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {what} {path}: {exc}") from None
 
 
 def _quote(s: str) -> str:

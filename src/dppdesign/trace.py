@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputFormatError
-from .textio import write_csv
+from .textio import read_text, write_csv
 
 TRACE_HEADER = "iteration,log_det,is_record,subset"
 
@@ -94,24 +94,24 @@ def _load_rows(text: str, k: int) -> np.ndarray:
 
 def _comma_lines(body: bytes) -> int:
     """The number of lines of body that hold commas, if each holds three;
-    else -1.  Among the bytes at or below a comma (commas, line ends,
-    blanks, tabs and plus signs), each line's commas must sit next to each
-    other and its third be followed by its newline, so a blank between
-    them also gives -1."""
+    else -1.  Among the semicolons and the bytes at or below a comma
+    (commas, line ends, blanks, tabs and plus signs), each line's commas
+    must sit next to each other and its third be followed by nothing but
+    semicolons up to its newline, so a blank between them or a semicolon
+    in one of its first three fields also gives -1."""
     raw = np.frombuffer(body, np.uint8)
-    marks = np.append(raw[np.flatnonzero(raw <= 44)], 10)
+    marks = np.append(raw[np.flatnonzero((raw <= 44) | (raw == 59))], 10)
     at = np.flatnonzero(marks == 44)
+    # Each third comma and each semicolon is followed by a semicolon or a newline.
+    tail = marks == 59
+    tail[at[2::3]] = True
     triples = (at.size % 3 == 0 and np.all(at[2::3] - at[::3] == 2)
-               and np.all(marks[at[2::3] + 1] == 10))
+               and not np.any(tail[:-1] & (marks[1:] != 59) & (marks[1:] != 10)))
     return at.size // 3 if triples else -1
 
 
 def read_trace(path) -> SampleTrace:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from None
+    text = read_text(path, "trace")
     header, _, body = text.lstrip().partition("\n")
     # The body starts on the line after the header.  The whole text is
     # let go before the numpy pass, so that it does not add to its peak.

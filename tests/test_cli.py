@@ -11,8 +11,10 @@ import pytest
 
 import dppdesign
 from dppdesign.cli import main
+from dppdesign.kernels import synth_kernel
+from dppdesign.search import GaConfig, genetic_search
 from dppdesign.stopping import POLICY_LOG_HEADER
-from dppdesign.trace import TRACE_HEADER, read_trace
+from dppdesign.trace import TRACE_HEADER, read_trace, write_trace
 
 
 def write_toy_trace(path, values=(1.0, 3.0, 2.0, 5.0)):
@@ -110,6 +112,21 @@ class TestSolve:
                    "--method", "ga", "--max-iters", 10, "--seed", 2,
                    "--ga-population", 20, "--out-dir", out) == 0
         assert read_trace(out / "trace.csv").n == 11
+
+    def test_ga_flags_set_every_ga_field(self, tmp_path, capsys):
+        # At this size, leaving any one field at its default or swapping any
+        # two of the values changes the trace.
+        out = tmp_path / "ga"
+        assert run("solve", "--synth-n", 20, "--kernel-seed", 1, "--k", 5,
+                   "--method", "ga", "--max-iters", 6, "--seed", 2,
+                   "--ga-population", 20, "--ga-pcross", 0.5, "--ga-pmutprop", 0.4,
+                   "--ga-pmut", 0.2, "--ga-elite", 0.25, "--ga-tournament", 3,
+                   "--out-dir", out) == 0
+        cfg = GaConfig(population=20, p_cross=0.5, p_mutprop=0.4, p_mut=0.2,
+                       elite_fraction=0.25, tournament_size=3, generations=6)
+        expected = tmp_path / "expected.csv"
+        write_trace(genetic_search(synth_kernel(20, 0.5, 1e-6, 1), 5, cfg, seed=2), expected)
+        assert (out / "trace.csv").read_bytes() == expected.read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -356,6 +373,25 @@ class TestStoppingReportInputs:
                    "--out-dir", tmp_path / "report") == 2
         err = capsys.readouterr().err.strip()
         assert str(bad) in err and "\n" not in err
+
+    @pytest.mark.parametrize("target", ["kernel", "config", "trace", "fit", "reference"])
+    def test_non_utf8_input_exits_two(self, inputs, tmp_path, capsys, target):
+        # an otherwise good file with a 0xff byte at its end
+        good = {"kernel": b"1,0\n0,1\n", "config": b"synth_n=6\nk=2\nmethod=greedy\n"}
+        bad = tmp_path / f"{target}.txt"
+        bad.write_bytes((good[target] if target in good else inputs[target].read_bytes())
+                        + b"\xff")
+        files = {**inputs, target: bad}
+        argv = {
+            "kernel": ["solve", "--kernel", bad, "--k", 1, "--method", "greedy"],
+            "config": ["solve", "--config", bad],
+            "trace": ["analyze-records", "--trace", bad],
+        }.get(target, ["stopping-report", "--trace", files["trace"], "--fits", files["fit"],
+                       "--reference-json", files["reference"]])
+        capsys.readouterr()
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"input error: cannot read {target} {bad}: ") and "\n" not in err
 
 
 class TestPipeline:

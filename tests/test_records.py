@@ -82,7 +82,6 @@ class TestExtractRecords:
         assert rs.times.tolist() == [1, 2, 4]
         assert rs.gaps.tolist() == [1, 2]
         assert rs.increments.tolist() == [1.0, 2.0, 2.0]
-        assert rs.count_at(3) == 2
 
     def test_decreasing_single_trivial_record(self):
         rs = extract_records(make_trace([5.0, 4.0, 3.0]))

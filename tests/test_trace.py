@@ -206,13 +206,17 @@ BAD_LINES = [
     # holds three commas and one semicolon a row, as a good file does.
     (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-2,1,3,4\n3,-1,0;1;2\n", 3, "expected 4 fields, found 5"),
     (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-1,0;1;2\n3,-2,1,3,4\n", 3, "expected 4 fields, found 3"),
+    # A semicolon in the log_det field: the row has three commas and the
+    # cell count of a good one, so only its line's semicolons refuse it.
+    (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-2;1,1,3\n", 3,
+     "expected 2 subset indices as in the first row, found 1"),
 ]
 
 
 @pytest.mark.parametrize("text,line,reason", BAD_LINES, ids=[
     "bad-cell", "fractional-int", "extra-index", "missing-index", "few-fields",
     "extra-field", "spaces-only", "blank-lines-and-crlf", "comma-in-subset",
-    "balanced-commas", "balanced-commas-reversed"])
+    "balanced-commas", "balanced-commas-reversed", "semicolon-in-log-det"])
 def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())

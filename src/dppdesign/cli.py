@@ -121,7 +121,10 @@ def _read_config_file(path) -> dict:
         key, val = (part.strip() for part in ln.split("=", 1))
         if key not in _SOLVE_KEYS:
             raise ConfigError(f"unknown config key {key!r} in {path}")
-        cfg[key] = val
+        try:
+            cfg[key] = _SOLVE_KEYS[key][0](val)
+        except ValueError:
+            raise ConfigError(f"bad value {val!r} for config key {key!r} in {path}") from None
     return cfg
 
 
@@ -184,9 +187,9 @@ def cmd_gen_kernel(args) -> int:
 
 def cmd_solve(args) -> int:
     file_cfg = _read_config_file(args.config) if args.config else {}
-    for key, (cast, default) in _SOLVE_KEYS.items():
+    for key, (_, default) in _SOLVE_KEYS.items():
         if getattr(args, key) is None:
-            setattr(args, key, cast(file_cfg[key]) if key in file_cfg else default)
+            setattr(args, key, file_cfg.get(key, default))
     if args.k is None or args.method is None:
         raise ConfigError("--k and --method are required")
     if args.method not in METHODS:

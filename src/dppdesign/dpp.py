@@ -6,13 +6,14 @@ each row's projection process: a row walks the eigenvalues from the last
 to the first against a table of elementary symmetric polynomials, keeping
 eigenvalue m with probability lambda_m * e_{kk-1}(first m-1) / e_kk(first m),
 where kk is the number of eigenvectors it has still to pick.  All rows
-advance together one pick at a time.  Phase two then runs k rounds over
-the whole (B, k, n) stack of bases: each round selects one item per row
-with probability (1/|V|) * sum_v (v^T e_i)^2 and replaces that row's V
-with an orthonormal basis for the part of span(V) orthogonal to
-coordinate i.  No operation mixes rows, so a draw depends only on its own
-uniforms, never on the chunk or worker it is drawn in; `sample_k_dpp` is
-the one-row call.
+advance together one pick at a time.  Phase two is the sequential
+projection sampler in Gram-Schmidt form (Kulesza & Taskar 2012, Alg. 1;
+Tremblay, Barthelme & Amblard 2018): each of k rounds picks one item per
+row by its running marginal, orthonormalises the item's eigenvector
+coordinates against those of the items already picked, and subtracts the
+new direction's share from every marginal.  No operation mixes rows, so a
+draw depends only on its own uniforms, never on the chunk or worker it is
+drawn in; `sample_k_dpp` is the one-row call.
 
 Subset probabilities are proportional to the determinant of the kernel's
 principal submatrix, normalized over all subsets of the same cardinality;
@@ -135,31 +136,30 @@ def sample_k_batch(eig: EigenSystem, k: int, U: np.ndarray,
             raise NumericError("eigenvalue selection failed to pick k components")
         chosen[:, t:t + 1] = last
 
-    # Phase two on the transposed bases: vt[r] spans row r's projection.
-    # Each round selects an item per row and applies one Householder
-    # reflection in coefficient space that maps the item's coordinates onto
-    # the leading basis vector; the remaining rows then span the part of
-    # the projection orthogonal to that item and stay orthonormal.  Position
-    # c picks eigenvector m - 1 = n - 1 - c.
-    vt = eig.eigenvectors.T[n - 1 - chosen]
+    # Phase two.  Column l of yt[r] holds item l's coordinates in row r's
+    # eigenvectors (position c picks eigenvector n - 1 - c); d[r, :step] holds
+    # its picks' orthonormalised coordinates.  Clamping marginals at 0 keeps
+    # the cumulative sums monotone; a picked item keeps mass exactly 0.
+    yt = eig.eigenvectors.T[n - 1 - chosen]
+    marg = np.einsum("bjl,bjl->bl", yt, yt)
+    d = np.empty((B, k, k))
     items = np.empty((B, k), dtype=np.int64)
     for step in range(k):
-        act = vt[:, step:]
-        p = np.einsum("bjl,bjl->bl", act, act).cumsum(axis=1)
+        p = marg.cumsum(axis=1)
         # searchsorted(p, u * p[-1], side="right"), capped at n - 1.
         i = (p[:, :-1] <= U[:, n + step, None] * p[:, -1:]).sum(axis=1)
         items[:, step] = i
         if step == k - 1:
             break
-        c = act[rows, :, i]
-        alpha = np.sqrt(np.einsum("bj,bj->b", c, c))
-        if not alpha.all():
+        c = yt[rows, :, i]
+        c -= np.einsum("bs,bsj->bj", np.einsum("bsj,bj->bs", d[:, :step], c), d[:, :step])
+        norm = np.sqrt(np.einsum("bj,bj->b", c, c))
+        if not norm.all():
             raise NumericError("orthogonal complement collapsed during sampling")
-        c[:, 0] += np.copysign(alpha, c[:, 0])
-        beta = 2.0 / np.einsum("bj,bj->b", c, c)
-        w = np.einsum("bj,bjl->bl", c, act)
-        act -= np.einsum("bj,bl->bjl", beta[:, None] * c, w)
-        act[rows, 1:, i] = 0.0
+        d[:, step] = c / norm[:, None]
+        marg -= np.matmul(d[:, step, None], yt)[:, 0] ** 2
+        np.maximum(marg, 0.0, out=marg)
+        marg[rows, i] = 0.0
 
     items.sort(axis=1)
     if not (np.diff(items, axis=1) > 0).all():
@@ -180,16 +180,12 @@ def sample_k_dpp(eig: EigenSystem, k: int, rng: np.random.Generator,
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     if int(np.count_nonzero(eig.eigenvalues > 0)) < k:
-        raise RankDeficientError(
-            f"rank deficient: fewer than {k} positive eigenvalues"
-        )
+        raise RankDeficientError(f"rank deficient: fewer than {k} positive eigenvalues")
     if table is None:
         table = elementary_table(eig.eigenvalues, k)
     elif table.n != n or table.k < k:
         raise ValueError("elementary table does not match this eigensystem")
 
-    if k == 0:
-        return DppSample(())
     return DppSample(sample_k_batch(eig, k, rng.random((1, n + k)), table)[0])
 
 

@@ -48,7 +48,7 @@ from .tails import fit_gpd_sorted, fitted_cdf_from_gpd
 from .trace import SampleTrace
 
 _EXHAUSTIVE_BUDGET = 10**7
-# Bytes of the (B, k, n) basis stack that one sampler chunk may use.
+# Bytes of a sampler chunk's (B, k, n) item stack; its (B, k, k) directions add k/n.
 _SAMPLER_WORKSPACE = 2**19
 # Bytes of candidate submatrices that one exact scoring call may build.
 _RESCORE_WORKSPACE = 2**18
@@ -513,9 +513,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         raise ValueError(f"workers must be positive, got {workers}")
     eig = eigendecompose(K)
     if int(np.count_nonzero(eig.eigenvalues > 0)) < k:
-        raise RankDeficientError(
-            f"rank deficient: fewer than {k} positive eigenvalues"
-        )
+        raise RankDeficientError(f"rank deficient: fewer than {k} positive eigenvalues")
     table = elementary_table(eig.eigenvalues, k)
     entries = K.entries
 

@@ -7,6 +7,7 @@ geometric with success probability 1 - F(r).  A search should stop when
 a meaningful improvement has become unlikely and the expected wait long.
 """
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,12 +116,13 @@ def beat_reference_prob(fit: FittedCdf, r_d: float, m: float) -> float:
 
     The raw survival ratio (1 - F(m)) / (1 - F(r_d)) is returned; it
     exceeds 1 exactly when the current record already beats m, which the
-    report serializes as the ">1" sentinel.
+    report serializes as the ">1" sentinel.  A reference beyond the
+    fitted support gives 0, logged at DEBUG.
     """
-    s_d = float(fit.survival(r_d))
-    if s_d <= 0.0:
-        return math.inf if r_d > m else 0.0
-    return float(fit.survival(m)) / s_d
+    p = _survival_ratio(fit, r_d, m)
+    if p == 0.0 and r_d <= m:
+        logging.getLogger(__name__).debug("reference %r is beyond the fitted support", m)
+    return math.inf if p == 0.0 and r_d > m else p
 
 
 def expected_wait_next_record(fit: FittedCdf, r_d: float) -> float:

@@ -26,21 +26,20 @@ def _key(seed: int, domain: int, index: int):
     return seed & _MASK64, (domain << 56) | (index & _MASK56)
 
 
-def _fresh_philox(w0: int, w1: int) -> np.random.Philox:
-    # Philox(key=...) still gathers OS entropy for an unused seed sequence,
-    # which dominates construction cost; seeding with 0 and overwriting the
-    # key state gives the identical stream without the entropy call.
-    bg = np.random.Philox(seed=0)
-    state = bg.state
-    state["state"]["key"][:] = (w0, w1)
-    state["state"]["counter"][:] = 0
-    bg.state = state
-    return bg
+def _philox_state(w0: int, w1: int) -> dict:
+    # Plain ints, so that setting the state converts no numpy scalars.
+    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [w0, w1]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Return a fresh Generator for stream (seed, domain, index)."""
-    return np.random.Generator(_fresh_philox(*_key(seed, domain, index)))
+    # Philox(key=...) still gathers OS entropy for an unused seed sequence,
+    # which dominates construction cost; seeding with 0 and setting the
+    # whole state gives the identical stream without the entropy call.
+    bg = np.random.Philox(seed=0)
+    bg.state = _philox_state(*_key(seed, domain, index))
+    return np.random.Generator(bg)
 
 
 class StreamDealer:
@@ -52,10 +51,10 @@ class StreamDealer:
     """
 
     def __init__(self, seed: int, domain: int):
-        self._w0, _ = _key(seed, domain, 0)
+        w0, _ = _key(seed, domain, 0)
         self._domain = domain
-        self._bg = _fresh_philox(self._w0, 0)
-        self._state = self._bg.state
+        self._state = _philox_state(w0, 0)
+        self._bg = np.random.Philox(seed=0)
         self._rng = np.random.Generator(self._bg)
 
     def rng(self, index: int) -> np.random.Generator:

@@ -145,6 +145,15 @@ class TestSolve:
         assert err.count("\n") == 1 and "'max_iter'" in err and str(cfg) in err
         assert not out.exists()
 
+    def test_bad_config_value_names_key_and_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("synth_n=10\nk=two\nmethod=greedy\n")
+        out = tmp_path / "out"
+        assert run("solve", "--config", cfg, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'k'" in err and "'two'" in err and str(cfg) in err
+        assert not out.exists()
+
     def test_exchange_method(self, tmp_path, capsys):
         out = tmp_path / "ex"
         assert run("solve", "--synth-n", 9, "--kernel-seed", 3, "--k", 3,

@@ -237,6 +237,30 @@ class TestBatchSampler:
                  for i in range(1, hi + 1)]
         assert [tuple(r) for r in whole.tolist()] == singles == loops
 
+    @pytest.mark.parametrize("n, k, rows", [(30, 10, 5000), (200, 40, 300)])
+    def test_rows_equal_householder_reference(self, n, k, rows):
+        # Phase two keeps running marginals where the reference recomputes
+        # them from a reflected basis; the rounding differs, the draws may not.
+        eig = eigendecompose(synth_kernel(n, 0.5, 1e-6, seed=11))
+        table = elementary_table(eig.eigenvalues, k)
+        whole = batch_rows(eig, k, table, 8, 0, rows - 1)
+        loops = [loop_draw(eig, k, table, stream(8, DOMAIN_SEARCH, i)) for i in range(rows)]
+        assert [tuple(r) for r in whole.tolist()] == loops
+
+    @pytest.mark.parametrize("columns, k, match", [
+        # Three copies of e_0: after item 0 no item has mass left, so the
+        # second pick finds nothing outside the span already taken.
+        ((0, 0, 0, 1), 3, "orthogonal complement collapsed"),
+        # Two copies of e_3: item 3 takes all the mass, and the last pick,
+        # with none left, falls on item 3 again.
+        ((3, 3, 0, 1), 2, "not return k distinct items"),
+    ])
+    def test_degenerate_bases_raise(self, columns, k, match):
+        eig = EigenSystem([1.0] * k + [0.0] * (4 - k), np.eye(4)[:, columns])
+        table = elementary_table(eig.eigenvalues, k)
+        with pytest.raises(NumericError, match=match):
+            sample_k_batch(eig, k, np.full((3, 4 + k), 0.5), table)
+
     def test_unfinished_selection_raises(self):
         # A table of rank 1 cannot supply two eigenvectors: every degree-2
         # ratio divides by e_2 = 0, which must end in NumericError rather

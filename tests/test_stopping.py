@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -86,6 +87,19 @@ class TestBeatReference:
     def test_already_beaten_exceeds_one(self):
         F = exponential_cdf()
         assert beat_reference_prob(F, 3.0, 1.0) > 1.0
+
+    def test_reference_beyond_support_is_logged(self, caplog):
+        F = exponential_cdf()  # survival exp(-x) underflows to 0 past x ~ 745
+        caplog.set_level(logging.DEBUG, logger="dppdesign.stopping")
+        assert beat_reference_prob(F, 1.0, 2.0) > 0.0
+        assert beat_reference_prob(F, 2000.0, 1000.0) == math.inf
+        assert caplog.records == []
+        assert beat_reference_prob(F, 1.0, 1000.0) == 0.0
+        assert beat_reference_prob(F, 1000.0, 2000.0) == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"reference {m!r} is beyond the fitted support"
+            for m in (1000.0, 2000.0)
+        ]
 
 
 class TestWaitingTimes:

@@ -42,6 +42,7 @@ from .stopping import (
 )
 from .tails import (
     FittedCdf,
+    _is_number,
     fit_censored_weibull,
     fit_comparators,
     fit_gpd_pot,
@@ -141,26 +142,6 @@ def _read_json_object(path, what, keys) -> dict:
     if missing:
         raise InputFormatError(f"{what} {path} lacks {', '.join(missing)}")
     return payload
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number: not a bool, a NaN or an infinity."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
-def _check_fit_scalars(path, payload) -> None:
-    """Reject fit JSON scalars of the wrong type before they reach the
-    jitter stream or the fitted model."""
-    sigma, seed = payload["jitter_sigma"], payload["jitter_seed"]
-    if not (_is_number(sigma) and sigma >= 0):
-        raise InputFormatError(f"fit {path}: jitter_sigma must be a number >= 0")
-    # Any integer seeds a stream (fit-tail --seed accepts negative ones).
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputFormatError(f"fit {path}: jitter_seed must be an integer")
-    if "shift" in payload and not _is_number(payload["shift"]):
-        raise InputFormatError(f"fit {path}: shift must be a number")
-    if payload.get("threshold") is not None and not _is_number(payload["threshold"]):
-        raise InputFormatError(f"fit {path}: threshold must be a number or null")
 
 
 def _load_solve_kernel(args):
@@ -320,7 +301,14 @@ def cmd_stopping_report(args) -> int:
             raise ConfigError(
                 f"run-id mismatch: fit {path} was not produced from {args.trace}"
             )
-        _check_fit_scalars(path, payload)
+        # Jitter scalars are checked before they reach the jitter stream;
+        # FittedCdf checks the model's own.
+        sigma, seed = payload["jitter_sigma"], payload["jitter_seed"]
+        if not (_is_number(sigma) and sigma >= 0):
+            raise InputFormatError(f"fit {path}: jitter_sigma must be a number >= 0")
+        # Any integer seeds a stream (fit-tail --seed accepts negative ones).
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise InputFormatError(f"fit {path}: jitter_seed must be an integer")
     sigmas = {payload["jitter_sigma"] for payload in payloads}
     seeds = {payload["jitter_seed"] for payload in payloads}
     if len(sigmas) != 1 or len(seeds) != 1:
@@ -342,10 +330,8 @@ def cmd_stopping_report(args) -> int:
     fits = []
     for path, payload in zip(fit_paths, payloads):
         params = payload["parameters"]
-        if not isinstance(params, dict) or not all(map(_is_number, params.values())):
-            raise InputFormatError(
-                f"fit {path}: parameters must be a JSON object of finite numbers"
-            )
+        if not isinstance(params, dict):
+            raise InputFormatError(f"fit {path}: parameters must be a JSON object")
         try:
             fits.append(FittedCdf(
                 payload["family"], params, shift=payload.get("shift", 0.0),

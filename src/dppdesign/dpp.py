@@ -189,24 +189,22 @@ def sample_k_dpp(eig: EigenSystem, k: int, rng: np.random.Generator,
     return DppSample(sample_k_batch(eig, k, rng.random((1, n + k)), table)[0])
 
 
-def _combination_chunks(n: int, k: int, chunk: int):
+def subset_log_dets(K: KernelMatrix, k: int, budget: int):
+    """Every size-k subset of K's sites in lexicographic order, as chunks
+    of an (m, k) index array and the m log-determinants (-inf where not
+    positive); k must be in [1, n] and C(n, k) at most budget."""
+    n = K.dim
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    total = math.comb(n, k)
+    if total > budget:
+        raise CombinatorialBudgetError(f"budget exceeded: C({n},{k}) = {total} > {budget}")
     it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def batch_log_dets(entries: np.ndarray, combos: np.ndarray) -> np.ndarray:
-    """Log-determinants of the principal submatrices indexed by each row.
-
-    Non-positive determinants map to -inf.
-    """
-    sub = entries[combos[:, :, None], combos[:, None, :]]
-    sign, logdet = np.linalg.slogdet(sub)
-    logdet[sign <= 0] = -np.inf
-    return logdet
+    while block := list(itertools.islice(it, 100_000)):
+        combos = np.array(block, dtype=np.intp)
+        sign, logdet = np.linalg.slogdet(K.entries[combos[:, :, None], combos[:, None, :]])
+        logdet[sign <= 0] = -np.inf
+        yield combos, logdet
 
 
 def exact_k_dpp_pmf(K: KernelMatrix, k: int) -> dict:
@@ -214,19 +212,11 @@ def exact_k_dpp_pmf(K: KernelMatrix, k: int) -> dict:
 
     Full enumeration; guarded at C(n, k) <= 1e6 subsets.
     """
-    n = K.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    total = math.comb(n, k)
-    if total > _PMF_BUDGET:
-        raise CombinatorialBudgetError(
-            f"budget exceeded: C({n},{k}) = {total} > {_PMF_BUDGET}"
-        )
     subsets = []
     logdets = []
-    for combos in _combination_chunks(n, k, 100_000):
+    for combos, ld in subset_log_dets(K, k, _PMF_BUDGET):
         subsets.extend(map(tuple, combos.tolist()))
-        logdets.append(batch_log_dets(K.entries, combos))
+        logdets.append(ld)
     ld = np.concatenate(logdets)
     top = ld.max()
     if not np.isfinite(top):

@@ -96,14 +96,12 @@ def jitter_trace(trace: SampleTrace, cfg: JitterConfig) -> SampleTrace:
     """Add i.i.d. Gaussian(0, sigma^2) noise to every trace value.
 
     The noise stream depends only on (seed, position), so jittering a
-    prefix of a trace gives a prefix of the jittered trace.  Original
-    values are retained in raw_values.
+    prefix of a trace gives a prefix of the jittered trace.
     """
     return SampleTrace(
         trace.iterations,
         trace.values + jitter_noise(cfg)(trace.n),
         trace.index,
-        raw_values=trace.values,
     )
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import streams
-from .dpp import batch_log_dets, elementary_table, sample_k_batch, _combination_chunks
-from .errors import CombinatorialBudgetError, DesignError, RankDeficientError
+from .dpp import elementary_table, sample_k_batch, subset_log_dets
+from .errors import RankDeficientError
 from .kernels import (
     _PIVOT_RTOL,
     DesignSubset,
@@ -42,9 +42,7 @@ from .kernels import (
     _logdet_psd_stack,
     _validate_subset,
 )
-from .records import JitterConfig, RunningPrefix, jitter_noise
-from .stopping import PolicyCheck, evaluate_latest_record, should_stop
-from .tails import fit_gpd_sorted, fitted_cdf_from_gpd
+from .stopping import _PolicyState
 from .trace import SampleTrace
 
 _EXHAUSTIVE_BUDGET = 10**7
@@ -239,23 +237,14 @@ def exchange_refine(K: KernelMatrix, start: DesignSubset) -> DesignSubset:
 
 def exhaustive_search(K: KernelMatrix, k: int) -> DesignSubset:
     """Global optimum by full enumeration; guarded at C(n, k) <= 1e7."""
-    n = K.dim
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    total = math.comb(n, k)
-    if total > _EXHAUSTIVE_BUDGET:
-        raise CombinatorialBudgetError(
-            f"budget exceeded: C({n},{k}) = {total} > {_EXHAUSTIVE_BUDGET}"
-        )
     best_val, best_subset = -np.inf, None
-    for combos in _combination_chunks(n, k, 100_000):
-        ld = batch_log_dets(K.entries, combos)
+    for combos, ld in subset_log_dets(K, k, _EXHAUSTIVE_BUDGET):
         i = int(np.argmax(ld))
         # Strict > keeps the earliest maximizer, i.e. the lexicographically
         # smallest subset, since enumeration is in lexicographic order.
         if ld[i] > best_val:
-            best_val, best_subset = float(ld[i]), tuple(int(x) for x in combos[i])
-    if best_subset is None or not np.isfinite(best_val):
+            best_val, best_subset = float(ld[i]), combos[i].tolist()
+    if best_subset is None:
         raise RankDeficientError("every size-k principal minor is singular")
     return design_subset(K, best_subset)
 
@@ -441,54 +430,6 @@ def _run_range_in_worker(k, seed, lo, hi):
     return _run_range(*_worker_kernel, k, seed, lo, hi)
 
 
-class _PolicyState:
-    """Running state of a stopping policy over one search.
-
-    Each check draws jitter for its new block only, from the stream
-    jitter_trace uses, and extends a RunningPrefix with it; the records,
-    threshold and exceedances are read from that state, so a check costs
-    O(block) plus one GPD fit on the exceedances.  A prefix the policy
-    cannot evaluate (a tie, too few exceedances, a failed fit) does not
-    stop the run; the reason is logged at DEBUG and kept in the check's row.
-    """
-
-    def __init__(self, policy, seed: int):
-        self.policy = policy
-        self.checks = []
-        self._noise = jitter_noise(JitterConfig(seed=seed))
-        self._prefix = RunningPrefix()
-
-    def fires(self, block: np.ndarray) -> bool:
-        """Append the next block of raw values and check the policy on the
-        whole prefix."""
-        prefix = self._prefix
-        prefix.extend(block + self._noise(block.size))
-        srt = prefix.sorted
-        fit = row = None
-        try:
-            records = prefix.records()
-            fit = fit_gpd_sorted(srt, 0.9)
-            row = evaluate_latest_record(records, fitted_cdf_from_gpd(fit, srt),
-                                         (self.policy.epsilon,))
-            stop = should_stop(self.policy, row)
-            decision, reason = ("stop" if stop else "continue"), ""
-        except DesignError as exc:
-            logging.getLogger(__name__).debug(
-                "stopping policy not evaluated at prefix length %d: %s", srt.size, exc
-            )
-            stop, decision, reason = False, "unevaluable", str(exc)
-        self.checks.append(PolicyCheck(
-            iteration=srt.size,
-            threshold=None if fit is None else fit.mu,
-            xi=None if fit is None else fit.xi,
-            p_eps=None if row is None else row.eps_probs[self.policy.epsilon],
-            expected_wait=None if row is None else row.expected_wait,
-            decision=decision,
-            reason=reason,
-        ))
-        return stop
-
-
 def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
                stop=None, workers: int = 1) -> SampleTrace:
     """Repeatedly sample fixed-size DPP subsets and score each one.
@@ -507,8 +448,8 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
     """
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    if not 1 <= k <= K.dim:
+        raise ValueError(f"k must be in [1, {K.dim}], got {k}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
     eig = eigendecompose(K)

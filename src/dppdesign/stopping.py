@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .records import RecordSequence
-from .tails import FittedCdf
+from .errors import DesignError
+from .records import JitterConfig, RecordSequence, RunningPrefix, jitter_noise
+from .tails import FittedCdf, fit_gpd_sorted, fitted_cdf_from_gpd
 from .textio import write_csv
 
 DEFAULT_EPSILONS = (0.0001, 0.0005, 0.001)
@@ -79,7 +80,6 @@ class StoppingRow:
     eps_probs: dict
     beat_reference: float | None
     expected_wait: float
-    beyond_support: bool
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,6 @@ def wait_tail_prob(fit: FittedCdf, r_d: float, j: int) -> float:
     return float(fit.cdf(r_d)) ** j
 
 
-def is_beyond_support(fit: FittedCdf, r: float) -> bool:
-    return float(fit.survival(r)) <= 0.0
-
-
 def _increment_targets(r: float, epsilons, mode: str, scale: float):
     if mode == "multiplicative":
         return [max((1.0 + e) * r, r) for e in epsilons]
@@ -165,7 +161,6 @@ def _build_row(fit, time, value, epsilons, mode, scale, reference) -> StoppingRo
         eps_probs=probs,
         beat_reference=beat,
         expected_wait=expected_wait_next_record(fit, value),
-        beyond_support=is_beyond_support(fit, value),
     )
 
 
@@ -236,6 +231,54 @@ def should_stop(policy: StoppingPolicy, row: StoppingRow) -> bool:
         row.eps_probs[policy.epsilon] < policy.delta
         and row.expected_wait > policy.max_expected_wait
     )
+
+
+class _PolicyState:
+    """Running state of a stopping policy over one search.
+
+    Each check draws jitter for its new block only, from the stream
+    jitter_trace uses, and extends a RunningPrefix with it; the records,
+    threshold and exceedances are read from that state, so a check costs
+    O(block) plus one GPD fit on the exceedances.  A prefix the policy
+    cannot evaluate (a tie, too few exceedances, a failed fit) does not
+    stop the run; the reason is logged at DEBUG and kept in the check's row.
+    """
+
+    def __init__(self, policy, seed: int):
+        self.policy = policy
+        self.checks = []
+        self._noise = jitter_noise(JitterConfig(seed=seed))
+        self._prefix = RunningPrefix()
+
+    def fires(self, block: np.ndarray) -> bool:
+        """Append the next block of raw values and check the policy on the
+        whole prefix."""
+        prefix = self._prefix
+        prefix.extend(block + self._noise(block.size))
+        srt = prefix.sorted
+        fit = row = None
+        try:
+            records = prefix.records()
+            fit = fit_gpd_sorted(srt, 0.9)
+            row = evaluate_latest_record(records, fitted_cdf_from_gpd(fit, srt),
+                                         (self.policy.epsilon,))
+            stop = should_stop(self.policy, row)
+            decision, reason = ("stop" if stop else "continue"), ""
+        except DesignError as exc:
+            logging.getLogger(__name__).debug(
+                "stopping policy not evaluated at prefix length %d: %s", srt.size, exc
+            )
+            stop, decision, reason = False, "unevaluable", str(exc)
+        self.checks.append(PolicyCheck(
+            iteration=srt.size,
+            threshold=None if fit is None else fit.mu,
+            xi=None if fit is None else fit.xi,
+            p_eps=None if row is None else row.eps_probs[self.policy.epsilon],
+            expected_wait=None if row is None else row.expected_wait,
+            decision=decision,
+            reason=reason,
+        ))
+        return stop
 
 
 def _fmt_prob(p: float | None):

@@ -34,6 +34,7 @@ _SOLVE_OPTIONS = {"xatol": 1e-10, "maxiter": 500}
 _GPD_GRID = np.linspace(-20.0, 20.0, 21)
 _XI_MIN = math.nextafter(-0.99, 0.0)  # the shape constraint xi > -0.99
 _LOG_SHAPE_BOUNDS = (-12.0, 12.0)  # the Weibull fit's range of log shape
+_REAL = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class GpdFit:
     xi: float
     n_exceed: int
     loglik: float
-    threshold_quantile: float
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,6 @@ class CensWeibullFit:
     n_censored: int
     loglik: float
     shift: float
-    threshold_quantile: float
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +204,16 @@ _FAMILIES = {
 _FAMILIES["cens_weibull"] = _FAMILIES["weibull"]
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, numpy's included: not a bool, a NaN, an
+    infinity or an int beyond the range of a float."""
+    try:
+        return (isinstance(value, _REAL) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def _elementwise(fn, x):
     """Apply an evaluator to a float array; scalars in give floats out."""
     x = np.asarray(x, dtype=np.float64)
@@ -216,8 +225,9 @@ class FittedCdf:
     """Evaluable fitted distribution: cdf, survival, pdf and quantile.
 
     family is one of gpd, cens_weibull, weibull, lognormal, exponential,
-    empirical; an unknown family, a missing parameter or a non-positive
-    scale, shape or rate raises ValueError here.  The gpd family is the
+    empirical; an unknown family, a missing parameter, a non-positive
+    scale, shape or rate, or a parameter, shift or non-None threshold that
+    fails _is_number raises ValueError here.  The gpd family is the
     composite peaks-over-threshold model: empirical below the threshold,
     1 - p_tail + p_tail * H(r) above it, with p_tail the exceedance
     fraction; empirical is the same composite with no tail.  Survival is
@@ -229,17 +239,20 @@ class FittedCdf:
                  loglik=None, n_used=0, sample=None):
         self.family = family
         self.params = dict(params)
-        self.shift = float(shift)
         self.threshold = threshold
         self.loglik = loglik
         self.n_used = int(n_used)
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         positive, build = _FAMILIES[family]
+        scalars = [("shift", shift)] + ([] if threshold is None else [("threshold", threshold)])
         try:
-            for name in positive:
-                if not self.params[name] > 0:
-                    raise ValueError(f"{name} must be positive, got {self.params[name]}")
+            for name, value in [*self.params.items(), *scalars]:
+                if name in positive and isinstance(value, _REAL) and not value > 0:
+                    raise ValueError(f"{name} must be positive, got {value}")
+                if not _is_number(value):
+                    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+            self.shift = float(shift)
             self._eval = build(self.params, self.shift, sample)
         except KeyError as exc:
             raise ValueError(f"{family} model is missing parameter {exc}") from None
@@ -358,8 +371,7 @@ def fit_gpd_sorted(srt: np.ndarray, threshold_quantile: float = 0.9) -> GpdFit:
     nll, sigma, xi = _gpd_profile(u, exc, zmax)
     if not (math.isfinite(nll) and sigma > 0):
         raise NonConvergenceError("GPD likelihood optimization failed")
-    return GpdFit(mu=mu, sigma=sigma, xi=xi, n_exceed=int(exc.size), loglik=-nll,
-                  threshold_quantile=threshold_quantile)
+    return GpdFit(mu=mu, sigma=sigma, xi=xi, n_exceed=int(exc.size), loglik=-nll)
 
 
 def fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
@@ -474,7 +486,6 @@ def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibull
         n_censored=n_cens,
         loglik=loglik,
         shift=shift,
-        threshold_quantile=threshold_quantile,
     )
 
 

@@ -34,7 +34,7 @@ class SampleTrace:
     `subsets` is the same data as a tuple of tuples, built on first use.
     """
 
-    def __init__(self, iterations, values, subsets, raw_values=None):
+    def __init__(self, iterations, values, subsets):
         it = np.asarray(iterations, dtype=np.int64)
         vals = np.asarray(values, dtype=np.float64)
         if it.size == 0:
@@ -48,12 +48,6 @@ class SampleTrace:
         self.iterations = it
         self.values = vals
         self.index = index
-        if raw_values is not None:
-            raw_values = np.asarray(raw_values, dtype=np.float64)
-            if raw_values.size != vals.size:
-                raise ValueError("raw values length mismatch")
-            raw_values.setflags(write=False)
-        self.raw_values = raw_values
         for arr in (it, vals, index):
             arr.setflags(write=False)
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import dppdesign
-from dppdesign.cli import main
+from dppdesign.cli import FAMILIES, main
 from dppdesign.kernels import synth_kernel
 from dppdesign.search import GaConfig, genetic_search
 from dppdesign.stopping import POLICY_LOG_HEADER
 from dppdesign.trace import TRACE_HEADER, read_trace, write_trace
+from golden_pipeline import run_pipeline
 
 
 def write_toy_trace(path, values=(1.0, 3.0, 2.0, 5.0)):
@@ -354,6 +355,8 @@ class TestStoppingReportInputs:
         pytest.param("fit", _with("shift", None), id="fit-null-shift"),
         pytest.param("fit", _with("shift", "0"), id="fit-string-shift"),
         pytest.param("fit", _with("threshold", [0.0]), id="fit-list-threshold"),
+        pytest.param("fit", _with("threshold", "0"), id="fit-string-threshold"),
+        pytest.param("fit", _with("shift", math.inf), id="fit-inf-shift"),
         pytest.param("reference", None, id="reference-unreadable"),
         pytest.param("reference", lambda payload: "not json", id="reference-not-json"),
         pytest.param("reference", lambda payload: json.dumps([payload]),
@@ -368,6 +371,8 @@ class TestStoppingReportInputs:
         pytest.param("fit", _with_parameter("xi", True), id="fit-bool-parameter"),
         pytest.param("fit", _with_parameter("xi", math.nan), id="fit-nan-parameter"),
         pytest.param("fit", _with_parameter("mu", -math.inf), id="fit-inf-parameter"),
+        pytest.param("fit", _with_parameter("mu", 10**400), id="fit-huge-parameter"),
+        pytest.param("fit", _with_parameter("mu", "0"), id="fit-string-parameter"),
         pytest.param("fit", _with_parameter("sigma", -1.0), id="fit-negative-sigma"),
         pytest.param("fit", _with_parameter("sigma", 0), id="fit-zero-sigma"),
     ])
@@ -415,9 +420,8 @@ class TestPipeline:
     def test_fit_then_stopping_report(self, tmp_path, solved, capsys):
         fits = tmp_path / "fits"
         assert run("fit-tail", "--trace", solved / "trace.csv",
-                   "--families", "gpd,cens_weibull,weibull,lognormal",
-                   "--out-dir", fits) == 0
-        for fam in ("gpd", "cens_weibull", "weibull", "lognormal"):
+                   "--families", ",".join(FAMILIES), "--out-dir", fits) == 0
+        for fam in FAMILIES:
             assert (fits / f"fit_{fam}.json").exists()
             assert (fits / f"qq_{fam}_full.csv").exists()
             assert (fits / f"density_{fam}.csv").exists()
@@ -425,7 +429,7 @@ class TestPipeline:
 
         rep = tmp_path / "report"
         code = run("stopping-report", "--trace", solved / "trace.csv",
-                   "--fits", f"{fits}/fit_gpd.json,{fits}/fit_cens_weibull.json",
+                   "--fits", ",".join(f"{fits}/fit_{fam}.json" for fam in FAMILIES),
                    "--reference-json", solved / "best.json",
                    "--out-dir", rep)
         assert code == 0
@@ -433,23 +437,27 @@ class TestPipeline:
         assert gpd_csv[0].startswith("n_sims,record,p_eps_1")
         # final record equals the best of the run: reference already beaten
         assert gpd_csv[-1].split(",")[-2] == ">1"
-        assert (rep / "stopping_cens_weibull.csv").exists()
 
-        # recompute the censored-Weibull columns from the published fit
-        # parameters; the report rows are pure survival ratios
-        cw = json.loads((fits / "fit_cens_weibull.json").read_text())
-        shape, scale = cw["parameters"]["shape"], cw["parameters"]["scale"]
-        shift = cw["shift"]
+        # recompute the expected-wait column of each closed-form model from
+        # its published parameters; the report rows are pure survival ratios
+        def weib_sf(p, shift, r):
+            return math.exp(-((max(r - shift, 0.0) / p["scale"]) ** p["shape"]))
 
-        def weib_sf(r):
-            return float(np.exp(-((max(r - shift, 0.0) / scale) ** shape)))
+        def lognorm_sf(p, shift, r):
+            if r <= shift:
+                return 1.0
+            return 0.5 * math.erfc((math.log(r - shift) - p["mu"]) / (p["sigma"] * math.sqrt(2)))
 
-        cw_rows = (rep / "stopping_cens_weibull.csv").read_text().splitlines()[1:]
-        for row in cw_rows:
-            parts = row.split(",")
-            r = float(parts[1])
-            wait = float(parts[-1]) if parts[-1] != "inf" else np.inf
-            assert wait == pytest.approx(1.0 / weib_sf(r), rel=1e-8)
+        for fam, sf in (("cens_weibull", weib_sf), ("weibull", weib_sf),
+                        ("lognormal", lognorm_sf)):
+            fit = json.loads((fits / f"fit_{fam}.json").read_text())
+            rows = (rep / f"stopping_{fam}.csv").read_text().splitlines()[1:]
+            assert rows
+            for row in rows:
+                parts = row.split(",")
+                wait = float(parts[-1])
+                assert wait == pytest.approx(
+                    1.0 / sf(fit["parameters"], fit["shift"], float(parts[1])), rel=1e-8)
 
     def test_run_id_mismatch_exits_one(self, tmp_path, solved, capsys):
         fits = tmp_path / "fits"
@@ -468,6 +476,17 @@ class TestPipeline:
                    "--out-dir", out) == 0
         summary = json.loads((out / "records_summary.json").read_text())
         assert summary["trace_length"] == 3000
+
+
+class TestGoldenOutputs:
+    def test_pipeline_outputs_match_committed_digests(self, tmp_path):
+        """Every file of a small solve -> analyze-records -> fit-tail ->
+        stopping-report pipeline is byte-identical to the committed
+        reference; golden_pipeline.py says how it was made."""
+        golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+        digests = run_pipeline(tmp_path)
+        assert sorted(digests) == sorted(golden)
+        assert [name for name in golden if digests[name] != golden[name]] == []
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -313,3 +313,7 @@ class TestExactPmf:
         K = KernelMatrix(np.eye(50))
         with pytest.raises(CombinatorialBudgetError, match="budget"):
             exact_k_dpp_pmf(K, 25)
+
+    def test_all_singular_minors_raise(self):
+        with pytest.raises(NumericError, match="all principal minors are singular"):
+            exact_k_dpp_pmf(KernelMatrix(np.ones((4, 4))), 2)

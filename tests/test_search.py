@@ -11,6 +11,7 @@ from dppdesign import (
     DesignSubset,
     GaConfig,
     KernelMatrix,
+    RankDeficientError,
     SingularSubmatrixError,
     StoppingPolicy,
     best_subset,
@@ -143,6 +144,22 @@ class TestExhaustive:
         K = KernelMatrix(np.eye(40))
         with pytest.raises(CombinatorialBudgetError):
             exhaustive_search(K, 20)
+
+    def test_all_singular_minors_raise(self):
+        with pytest.raises(RankDeficientError, match="every size-k principal minor"):
+            exhaustive_search(KernelMatrix(np.ones((4, 4))), 2)
+
+
+@pytest.mark.parametrize("search", [
+    greedy_forward, greedy_backward, exhaustive_search, genetic_search,
+    lambda K, k: dpp_search(K, k, 10),
+], ids=["greedy_forward", "greedy_backward", "exhaustive_search", "genetic_search",
+        "dpp_search"])
+@pytest.mark.parametrize("k", [0, 6])
+def test_k_outside_one_to_n_raises_value_error(search, k):
+    # dpp_search checks k before its eigendecomposition, as the others do
+    with pytest.raises(ValueError, match=rf"k must be in \[1, 5\], got {k}$"):
+        search(synth_kernel(5, 0.5, 1e-6), k)
 
 
 class TestGeneticSearch:

@@ -22,10 +22,10 @@ from dppdesign import (
 )
 from dppdesign.errors import DesignError
 from dppdesign.records import JitterConfig, jitter_noise, jitter_trace
-from dppdesign.search import _PolicyState
 from dppdesign.stopping import (
     PolicyCheck,
     StoppingRow,
+    _PolicyState,
     evaluate_latest_record,
     write_policy_csv,
 )
@@ -141,7 +141,7 @@ class TestShouldStop:
     def make_row(self, prob, wait):
         return StoppingRow(
             n_sims=10, record=1.0, eps_probs={0.001: prob},
-            beat_reference=None, expected_wait=wait, beyond_support=False,
+            beat_reference=None, expected_wait=wait,
         )
 
     def test_truth_table(self):
@@ -234,12 +234,17 @@ class TestBuildReport:
         )[0]
         assert report.epsilons == (0.0001, 0.005, 0.01)
 
-    def test_additive_switch_for_non_positive_records(self):
-        records = make_records([-3.0, -2.5, -2.0, -1.0])
+    @pytest.mark.parametrize("values,scale", [
+        ([-3.0, -2.5, -2.0, -1.0], 0.875),  # the trace IQR
+        ([-3.0], 3.0),  # a trace IQR of 0: the last record's magnitude
+        ([-0.5], 1.0),  # ... but at least 1
+    ])
+    def test_additive_switch_for_non_positive_records(self, values, scale):
+        records = make_records(values)
         F = exponential_cdf(rate=1.0, loc=-10.0)
         report = build_stopping_report(records, [F], epsilons=(0.1,))[0]
         assert report.increment_mode == "additive"
-        assert report.increment_scale == pytest.approx(records.trace_iqr)
+        assert report.increment_scale == pytest.approx(scale, rel=1e-15)
         row = report.rows[0]
         target = row.record + 0.1 * report.increment_scale
         expect = F.survival(target) / F.survival(row.record)
@@ -345,7 +350,7 @@ class TestOnlinePolicyIntegration:
 
         K = d.synth_kernel(10, 0.5, 1e-6, seed=2)
         policy = StoppingPolicy(check_every=10)
-        with caplog.at_level("DEBUG", logger="dppdesign.search"):
+        with caplog.at_level("DEBUG", logger="dppdesign.stopping"):
             trace = d.dpp_search(K, 3, 20, seed=3, stop=policy, workers=1)
         assert trace.stopped_at is None and trace.n == 20
         messages = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]

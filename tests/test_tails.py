@@ -125,7 +125,6 @@ def old_fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
         xi=float(best[1]),
         n_exceed=int(exc.size),
         loglik=float(loglik),
-        threshold_quantile=threshold_quantile,
     )
 
 
@@ -179,7 +178,6 @@ def old_fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWei
         n_censored=n_cens,
         loglik=float(loglik),
         shift=shift,
-        threshold_quantile=threshold_quantile,
     )
 
 
@@ -530,6 +528,21 @@ class TestFittedCdfPlumbing:
         for q in (0.0, top):
             assert model.quantile(q) == np.quantile(x, q, method="inverted_cdf")
 
+    def test_empirical_survival_and_pdf(self):
+        x = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
+        model = empirical_cdf(x)
+        grid = np.array([0.0, 1.0, 1.5, 2.0, 4.9, 5.0, 6.0])
+        assert model.survival(grid) == pytest.approx([1.0, 0.8, 0.8, 0.4, 0.2, 0.0, 0.0],
+                                                     abs=1e-15)
+        assert model.survival(2.5) == pytest.approx(0.4, abs=1e-15)
+        # the histogram density of the whole sample, zero outside its edges
+        dens, edges = np.histogram(x, bins="auto", density=True)
+        centres = (edges[:-1] + edges[1:]) / 2
+        assert np.array_equal(model.pdf(centres), dens)
+        assert model.pdf(edges[-1]) == dens[-1]
+        assert np.array_equal(model.pdf(np.array([edges[0] - 1e-9, edges[-1] + 1e-9])),
+                              [0.0, 0.0])
+
     def test_unknown_family_raises_at_construction(self):
         with pytest.raises(ValueError, match="unknown family"):
             FittedCdf("cauchy", {"loc": 0.0, "scale": 1.0})
@@ -560,6 +573,27 @@ class TestFittedCdfPlumbing:
         FittedCdf(family, params, sample=np.arange(50.0))
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             FittedCdf(family, {**params, name: bad}, sample=np.arange(50.0))
+
+    @pytest.mark.parametrize("name", ["mu", "sigma", "xi", "p_tail", "shift", "threshold"])
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5], math.nan, -math.inf, 10**400])
+    def test_non_finite_or_non_real_scalar_raises_at_construction(self, name, bad):
+        params = {"mu": 0.0, "sigma": 1.0, "xi": 0.1, "p_tail": 0.1}
+        scalars = {"shift": 0.0, "threshold": 0.0}
+        (params if name in params else scalars)[name] = bad
+        if name == "threshold" and bad is None:
+            FittedCdf("gpd", params, sample=np.arange(50.0), **scalars)  # no threshold
+            return
+        # a sigma the positivity check can compare keeps its message
+        message = "must be positive" if name == "sigma" and bad in (math.nan, -math.inf) else (
+            "must be a finite real number")
+        with pytest.raises(ValueError, match=f"{name} {message}"):
+            FittedCdf("gpd", params, sample=np.arange(50.0), **scalars)
+
+    def test_numpy_scalars_are_accepted(self):
+        model = FittedCdf("weibull", {"shape": np.float32(2.0), "scale": np.float64(1.0)},
+                          shift=np.int64(0), threshold=np.float64(0.5))
+        assert model.shift == 0.0
+        assert model.survival(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_composite_needs_sample(self):
         with pytest.raises(ValueError, match="values"):

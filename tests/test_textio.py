@@ -177,7 +177,7 @@ def test_stopping(tmp_path):
     eps = (0.0, 0.001, 0.5)
     rows = tuple(
         StoppingRow(n_sims=i + 1, record=rec, eps_probs=dict(zip(eps, probs)),
-                    beat_reference=beat, expected_wait=wait, beyond_support=False)
+                    beat_reference=beat, expected_wait=wait)
         for i, (rec, probs, beat, wait) in enumerate([
             (-0.0, (1.0, 5e-324, -0.0), None, 1.0),
             (1e308, (0.5, 1 / 3, 0.0), math.inf, math.inf),

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import streams
 from .errors import TieError
@@ -247,6 +246,8 @@ def inter_record_time_tail(kth: int, j: int) -> float:
         return math.exp(
             (kth - 1) * math.log(x) - x + j * math.log1p(-math.exp(-x)) - lg
         )
+
+    from scipy import integrate
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200)
     return float(val)

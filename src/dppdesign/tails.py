@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize, special
+# scipy is imported where it is called (here and in records.py), not at
+# module load: its optimize, special and integrate modules cost about 0.4 s
+# and 43 MB at start-up, and the commands that fit nothing never use them.
 
 from .errors import (
     DegenerateSampleError,
@@ -167,6 +169,8 @@ class _LogNormal:
         self.mu, self.sigma, self.shift = mu, sigma, shift
 
     def survival(self, x):
+        from scipy import special
+
         y = x - self.shift
         out = np.ones_like(y)
         pos = y > 0
@@ -184,6 +188,8 @@ class _LogNormal:
         return out
 
     def quantile(self, q):
+        from scipy import special
+
         return self.shift + np.exp(self.mu + self.sigma * special.ndtri(q))
 
 
@@ -226,9 +232,10 @@ class FittedCdf:
 
     family is one of gpd, cens_weibull, weibull, lognormal, exponential,
     empirical; an unknown family, a missing parameter, a non-positive
-    scale, shape or rate, or a parameter, shift or non-None threshold that
-    fails _is_number raises ValueError here.  The gpd family is the
-    composite peaks-over-threshold model: empirical below the threshold,
+    scale, shape or rate, a parameter, shift or non-None threshold or
+    loglik that fails _is_number, or an n_used that is not an integer
+    >= 0 raises ValueError here.  The gpd family is the composite
+    peaks-over-threshold model: empirical below the threshold,
     1 - p_tail + p_tail * H(r) above it, with p_tail the exceedance
     fraction; empirical is the same composite with no tail.  Survival is
     computed directly (not as 1 - cdf) so tiny tail probabilities keep
@@ -241,11 +248,15 @@ class FittedCdf:
         self.params = dict(params)
         self.threshold = threshold
         self.loglik = loglik
-        self.n_used = int(n_used)
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if not (isinstance(n_used, (int, np.integer)) and not isinstance(n_used, bool)
+                and n_used >= 0):
+            raise ValueError(f"n_used must be an integer >= 0, got {n_used!r}")
+        self.n_used = int(n_used)
         positive, build = _FAMILIES[family]
-        scalars = [("shift", shift)] + ([] if threshold is None else [("threshold", threshold)])
+        optional = (("threshold", threshold), ("loglik", loglik))
+        scalars = [("shift", shift), *((n, v) for n, v in optional if v is not None)]
         try:
             for name, value in [*self.params.items(), *scalars]:
                 if name in positive and isinstance(value, _REAL) and not value > 0:
@@ -309,6 +320,8 @@ def sorted_quantile(srt: np.ndarray, q: float) -> float:
 def _bounded_argmin(f, lo: float, hi: float) -> float:
     """Bounded Brent minimiser of a scalar function on [lo, hi]; a solve
     that ends on a bound or at its iteration cap is logged at DEBUG."""
+    from scipy import optimize
+
     res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
                                    options=_SOLVE_OPTIONS)
     x = float(res.x)
@@ -423,6 +436,8 @@ def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
         return b
     if excess(a) <= 0.0:
         return a
+    from scipy import optimize
+
     return optimize.brentq(excess, a, b, xtol=1e-14)
 
 

@@ -357,6 +357,12 @@ class TestStoppingReportInputs:
         pytest.param("fit", _with("threshold", [0.0]), id="fit-list-threshold"),
         pytest.param("fit", _with("threshold", "0"), id="fit-string-threshold"),
         pytest.param("fit", _with("shift", math.inf), id="fit-inf-shift"),
+        pytest.param("fit", _with("n_used", None), id="fit-null-n_used"),
+        pytest.param("fit", _with("n_used", []), id="fit-list-n_used"),
+        pytest.param("fit", _with("n_used", True), id="fit-bool-n_used"),
+        pytest.param("fit", _with("n_used", -1), id="fit-negative-n_used"),
+        pytest.param("fit", _with("n_used", "5"), id="fit-string-n_used"),
+        pytest.param("fit", _with("loglik", "abc"), id="fit-string-loglik"),
         pytest.param("reference", None, id="reference-unreadable"),
         pytest.param("reference", lambda payload: "not json", id="reference-not-json"),
         pytest.param("reference", lambda payload: json.dumps([payload]),
@@ -489,16 +495,87 @@ class TestGoldenOutputs:
         assert [name for name in golden if digests[name] != golden[name]] == []
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # Importing scipy.stats would add about 0.8 s and 19 MB of peak RSS to
-    # the start-up of every command (measured on a 2-core VM).
+# scipy is imported where a fit, a lognormal evaluation or a record-gap
+# integral calls it.  Loading scipy.optimize, scipy.special and
+# scipy.integrate with the package took about 0.4 s and 43 MB of peak RSS
+# per command (measured on a 2-core VM); these tests start fresh
+# interpreters, since the test modules themselves import scipy.
+_LIST_SCIPY = ("print(json.dumps(sorted(m for m in sys.modules "
+               "if m == 'scipy' or m.startswith('scipy.'))))")
+
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this checkout's package;
+    returns its standard output."""
     src = str(Path(dppdesign.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import json, sys, dppdesign, dppdesign.cli; print(json.dumps(list(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    loaded = json.loads(done.stdout)
-    assert "dppdesign.cli" in loaded and "scipy.stats" not in loaded
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    out = _fresh_python("import json, sys, dppdesign, dppdesign.cli; " + _LIST_SCIPY)
+    assert json.loads(out) == []
+
+
+def test_commands_that_fit_nothing_leave_scipy_unloaded(tmp_path, capsys):
+    pre = tmp_path / "pre"
+    assert run("solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4, "--method", "dpp",
+               "--max-iters", 2000, "--seed", 0, "--workers", 1, "--out-dir", pre) == 0
+    trace = pre / "trace.csv"
+    assert run("fit-tail", "--trace", trace, "--families", "gpd,cens_weibull",
+               "--out-dir", pre) == 0
+    solve = ["solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4, "--seed", 0]
+    commands = [[*solve, "--method", "dpp", "--max-iters", 2000, "--workers", 2]]
+    commands += [[*solve, "--method", m, "--max-iters", 5] for m in ("greedy", "exchange", "ga")]
+    commands.append(["analyze-records", "--trace", trace])
+    commands += [["stopping-report", "--trace", trace, "--fits", pre / f"fit_{fam}.json"]
+                 for fam in ("gpd", "cens_weibull")]
+    argvs = [[*map(str, argv), "--out-dir", str(tmp_path / str(i))]
+             for i, argv in enumerate(commands)]
+    out = _fresh_python(
+        "import json, sys\n"
+        "from dppdesign.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n" + _LIST_SCIPY,
+        json.dumps(argvs),
+    ).splitlines()
+    assert json.loads(out[-2]) == [0] * len(argvs)
+    assert json.loads(out[-1]) == []
+    assert (tmp_path / "6" / "stopping_cens_weibull.csv").exists()
+
+
+# Each call reaches a deferred scipy import: the GPD fit's bounded solve,
+# the censored Weibull's root solve, the lognormal's ndtr and ndtri, and the
+# quadrature beyond the exact gap limit (j = 100 > 64).
+_COLD_CALLS = """
+import numpy as np
+from dppdesign import FittedCdf, fit_censored_weibull, fit_gpd_pot, inter_record_time_tail
+x = np.random.default_rng(0).gumbel(size=500)
+lognormal = FittedCdf("lognormal", {"mu": 0.2, "sigma": 0.7}, shift=-1.0)
+results = (fit_gpd_pot(x), fit_censored_weibull(x),
+           lognormal.survival([-2.0, 0.5, 3.0]).tolist(),
+           lognormal.quantile([0.0, 0.1, 0.999]).tolist(),
+           inter_record_time_tail(2, 100))
+"""
+
+
+def test_cold_scipy_imports_give_the_same_floats(monkeypatch):
+    from scipy import optimize
+
+    brentq_calls = []
+    brentq = optimize.brentq
+    monkeypatch.setattr(optimize, "brentq",
+                        lambda *a, **kw: brentq_calls.append(1) or brentq(*a, **kw))
+    namespace = {}
+    exec(_COLD_CALLS, namespace)
+    monkeypatch.undo()
+    assert brentq_calls  # the sample reaches the censored fit's root solve
+    out = _fresh_python(
+        "import json, sys, dppdesign\n"
+        "cold = not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        + _COLD_CALLS + "print(cold)\nprint(repr(results))\n"
+    ).splitlines()
+    assert out == ["True", repr(namespace["results"])]

@@ -574,14 +574,15 @@ class TestFittedCdfPlumbing:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             FittedCdf(family, {**params, name: bad}, sample=np.arange(50.0))
 
-    @pytest.mark.parametrize("name", ["mu", "sigma", "xi", "p_tail", "shift", "threshold"])
+    @pytest.mark.parametrize("name", ["mu", "sigma", "xi", "p_tail", "shift", "threshold",
+                                      "loglik"])
     @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5], math.nan, -math.inf, 10**400])
     def test_non_finite_or_non_real_scalar_raises_at_construction(self, name, bad):
         params = {"mu": 0.0, "sigma": 1.0, "xi": 0.1, "p_tail": 0.1}
-        scalars = {"shift": 0.0, "threshold": 0.0}
+        scalars = {"shift": 0.0, "threshold": 0.0, "loglik": -1.0}
         (params if name in params else scalars)[name] = bad
-        if name == "threshold" and bad is None:
-            FittedCdf("gpd", params, sample=np.arange(50.0), **scalars)  # no threshold
+        if name in ("threshold", "loglik") and bad is None:
+            FittedCdf("gpd", params, sample=np.arange(50.0), **scalars)  # optional
             return
         # a sigma the positivity check can compare keeps its message
         message = "must be positive" if name == "sigma" and bad in (math.nan, -math.inf) else (
@@ -589,10 +590,16 @@ class TestFittedCdfPlumbing:
         with pytest.raises(ValueError, match=f"{name} {message}"):
             FittedCdf("gpd", params, sample=np.arange(50.0), **scalars)
 
+    @pytest.mark.parametrize("bad", [None, [], True, np.bool_(True), -1, "5", 5.0])
+    def test_n_used_must_be_a_nonnegative_integer(self, bad):
+        with pytest.raises(ValueError, match="n_used must be an integer >= 0"):
+            FittedCdf("exponential", {"rate": 1.0, "loc": 0.0}, n_used=bad)
+
     def test_numpy_scalars_are_accepted(self):
         model = FittedCdf("weibull", {"shape": np.float32(2.0), "scale": np.float64(1.0)},
-                          shift=np.int64(0), threshold=np.float64(0.5))
-        assert model.shift == 0.0
+                          shift=np.int64(0), threshold=np.float64(0.5),
+                          loglik=np.float32(-3.0), n_used=np.int64(7))
+        assert model.shift == 0.0 and model.n_used == 7 and type(model.n_used) is int
         assert model.survival(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_composite_needs_sample(self):

@@ -19,6 +19,7 @@ from .errors import (
     DesignError,
     InputFormatError,
     NumericError,
+    TieError,
 )
 from .kernels import load_kernel, save_kernel, synth_kernel
 from .records import JitterConfig, expected_record_count, extract_records, jitter_trace, write_record_log
@@ -60,12 +61,10 @@ FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
 
 # solve key (flag dest and config-file key) -> (cast, default)
 _SOLVE_KEYS = {
-    "kernel": (str, None), "synth_n": (int, None), "lengthscale": (float, 0.5),
-    "nugget": (float, 1e-6), "kernel_seed": (int, 0), "k": (int, None),
-    "method": (str, None), "max_iters": (int, 10_000), "seed": (int, 0),
-    "workers": (int, default_workers()), "stop_epsilon": (float, None),
-    "stop_delta": (float, None), "stop_max_wait": (float, None),
-    "stop_check_every": (int, None),
+    "kernel": (str, None), "k": (int, None), "method": (str, None),
+    "max_iters": (int, 10_000), "seed": (int, 0), "workers": (int, default_workers()),
+    "stop_epsilon": (float, None), "stop_delta": (float, None),
+    "stop_max_wait": (float, None), "stop_check_every": (int, None),
 }
 # solve flag dest -> StoppingPolicy field
 _STOP_FIELDS = {
@@ -144,16 +143,6 @@ def _read_json_object(path, what, keys) -> dict:
     return payload
 
 
-def _load_solve_kernel(args):
-    if (args.kernel is None) == (args.synth_n is None):
-        raise ConfigError("exactly one of --kernel or --synth-n is required")
-    if args.kernel is not None:
-        return load_kernel(args.kernel), {"kernel": str(args.kernel)}
-    params = {key: getattr(args, key)
-              for key in ("synth_n", "lengthscale", "nugget", "kernel_seed")}
-    return synth_kernel(*params.values()), params
-
-
 def _run_id(payload: dict) -> str:
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -171,14 +160,12 @@ def cmd_solve(args) -> int:
     for key, (_, default) in _SOLVE_KEYS.items():
         if getattr(args, key) is None:
             setattr(args, key, file_cfg.get(key, default))
-    if args.k is None or args.method is None:
-        raise ConfigError("--k and --method are required")
+    if args.kernel is None or args.k is None or args.method is None:
+        raise ConfigError("--kernel, --k and --method are required")
     if args.method not in METHODS:
         raise ConfigError(f"unknown method {args.method!r}")
 
-    K, kernel_params = _load_solve_kernel(args)
-    if not 1 <= args.k <= K.dim:
-        raise ConfigError(f"k must be in [1, {K.dim}], got {args.k}")
+    K = load_kernel(args.kernel)
     if args.method in ("dpp", "ga") and args.max_iters < 1:
         raise ConfigError(f"max_iters must be positive, got {args.max_iters}")
 
@@ -186,22 +173,20 @@ def cmd_solve(args) -> int:
                    if getattr(args, flag) is not None}
     policy = StoppingPolicy(**stop_kwargs) if args.stop or stop_kwargs else None
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     t0 = time.perf_counter()
     trace = METHODS[args.method](K, args, policy)
     best = best_subset(K, trace)
-    stopped_at = getattr(trace, "stopped_at", None)
-    checks = getattr(trace, "policy_checks", None)
     wall = time.perf_counter() - t0
 
-    config_payload = {
-        "command": "solve", "method": args.method, "k": args.k,
-        "max_iters": args.max_iters, "seed": args.seed, **kernel_params,
-    }
-    run_id = _run_id(config_payload)
+    # Every setting that can change the output, even one the method ignores; the
+    # kernel counts by its bytes, and workers not, as traces do not depend on it.
+    config = {key: getattr(args, key) for key in (*_SOLVE_KEYS, *_GA_FIELDS, "stop")
+              if key not in ("kernel", "workers")}
+    config["kernel_sha256"] = _sha256(args.kernel)
+    run_id = _run_id(config)
 
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_trace(trace, out / "trace.csv")
     write_json(out / "best.json", {
         "method": args.method, "k": args.k, "n": K.dim,
@@ -209,18 +194,18 @@ def cmd_solve(args) -> int:
         "seed": args.seed, "run_id": run_id,
     })
     meta = {
-        "run_id": run_id, "config": config_payload,
+        "run_id": run_id, "config": config, "kernel": args.kernel,
         "version": __version__, "workers": args.workers,
-        "stopped_at": stopped_at, "wall_time_s": wall,
+        "stopped_at": trace.stopped_at, "wall_time_s": wall,
         "timestamp": time.time(),
     }
-    if checks is not None:
-        write_policy_csv(checks, out / "policy.csv")
-        meta["policy_checks"] = len(checks)
+    if trace.policy_checks is not None:
+        write_policy_csv(trace.policy_checks, out / "policy.csv")
+        meta["policy_checks"] = len(trace.policy_checks)
     write_json(out / "run_meta.json", meta)
     print(f"{args.method}: log_det {best.log_det:.6f} at {list(best.indices)}")
-    if stopped_at is not None:
-        print(f"stopping policy fired at iteration {stopped_at}")
+    if trace.stopped_at is not None:
+        print(f"stopping policy fired at iteration {trace.stopped_at}")
     return 0
 
 
@@ -298,9 +283,8 @@ def cmd_stopping_report(args) -> int:
     payloads = [_read_json_object(path, "fit", fit_keys) for path in fit_paths]
     for path, payload in zip(fit_paths, payloads):
         if payload.get("trace_sha256") != digest:
-            raise ConfigError(
-                f"run-id mismatch: fit {path} was not produced from {args.trace}"
-            )
+            raise ConfigError(f"trace mismatch: fit {path} was made from a "
+                              f"different trace file than {args.trace}")
         # Jitter scalars are checked before they reach the jitter stream;
         # FittedCdf checks the model's own.
         sigma, seed = payload["jitter_sigma"], payload["jitter_seed"]
@@ -427,7 +411,7 @@ def main(argv=None) -> int:
         return 2
     except NumericError as exc:
         hint = ""
-        if "tie" in str(exc):
+        if isinstance(exc, TieError):
             hint = " (re-run with a positive --sigma to jitter the trace)"
         print(f"numeric error: {exc}{hint}", file=sys.stderr)
         return 3

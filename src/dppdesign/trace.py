@@ -32,7 +32,11 @@ class SampleTrace:
 
     The subsets are held as one read-only (N, k) int64 array, `index`;
     `subsets` is the same data as a tuple of tuples, built on first use.
+    `dpp_search` sets `stopped_at` and `policy_checks`; they stay None on
+    every other trace.
     """
+
+    stopped_at = policy_checks = None
 
     def __init__(self, iterations, values, subsets):
         it = np.asarray(iterations, dtype=np.int64)

@@ -1,10 +1,10 @@
 """A small end-to-end CLI pipeline and the sha256 of every file it writes.
 
 `test_cli.py::TestGoldenOutputs` runs `run_pipeline` and compares its
-digests with `golden_outputs.json`.  The pipeline is a synthetic kernel
-(`--synth-n 12`, so that each run_id is stable) searched by dpp with and
-without the stopping policy, greedy and exhaustive, then analyze-records,
-fit-tail with four families and stopping-report with four fits.
+digests with `golden_outputs.json`.  The pipeline is a gen-kernel file
+(n=12) searched by dpp with and without the stopping policy, greedy and
+exhaustive, then analyze-records, fit-tail with four families and
+stopping-report with four fits.
 `run_meta.json` holds a wall time and a timestamp, so it is not hashed.
 
 To regenerate the JSON, run this script on the code whose outputs are the
@@ -26,7 +26,7 @@ from pathlib import Path
 from dppdesign import cli
 
 FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
-SOLVE = ("--synth-n", "12", "--kernel-seed", "7", "--k", "4", "--seed", "0")
+SOLVE = ("--k", "4", "--seed", "0")
 
 
 def _run(*argv) -> None:
@@ -38,11 +38,12 @@ def _run(*argv) -> None:
 def run_pipeline(out: Path) -> dict:
     """Run the pipeline under out; returns {relative path: sha256} of every
     file it wrote except run_meta.json."""
+    _run("gen-kernel", "--n", 12, "--seed", 7, "--out", out / "kernel.csv")
     # The policy run's checks read unevaluable, continue, then stop at 600.
     stop = ("--stop", "--stop-check-every", 200, "--stop-delta", 0.95, "--stop-max-wait", 1500)
     for name, extra in (("dpp", ()), ("stop", stop), ("greedy", ()), ("exhaustive", ())):
         method = "dpp" if name == "stop" else name
-        _run("solve", *SOLVE, "--method", method, "--max-iters", 3000, "--workers", 2,
+        _run("solve", "--kernel", out / "kernel.csv", *SOLVE, "--method", method, "--max-iters", 3000, "--workers", 2,
              *extra, "--out-dir", out / name)
     trace = out / "dpp" / "trace.csv"
     _run("analyze-records", "--trace", trace, "--out-dir", out / "records")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import dppdesign
+from dppdesign import cli
 from dppdesign.cli import FAMILIES, main
+from dppdesign.errors import NumericError
 from dppdesign.kernels import synth_kernel
 from dppdesign.search import GaConfig, genetic_search
 from dppdesign.stopping import POLICY_LOG_HEADER
@@ -29,6 +32,13 @@ def write_toy_trace(path, values=(1.0, 3.0, 2.0, 5.0)):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def gen_kernel(tmp_path, n, seed=0):
+    """A gen-kernel file of n sites with the default lengthscale and nugget."""
+    path = tmp_path / f"kernel_{n}_{seed}.csv"
+    assert run("gen-kernel", "--n", n, "--seed", seed, "--out", path) == 0
+    return path
 
 
 class TestGenKernel:
@@ -70,7 +80,7 @@ class TestSolve:
 
     def test_dpp_solve_writes_trace_and_meta(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert run("solve", "--synth-n", 10, "--kernel-seed", 7, "--k", 3,
+        assert run("solve", "--kernel", gen_kernel(tmp_path, 10, 7), "--k", 3,
                    "--method", "dpp", "--max-iters", 200, "--seed", 1,
                    "--workers", 1, "--out-dir", out) == 0
         trace = read_trace(out / "trace.csv")
@@ -85,31 +95,52 @@ class TestSolve:
 
     def test_idempotent_outputs(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
+        kern = gen_kernel(tmp_path, 9, 2)
         for out in (a, b):
-            assert run("solve", "--synth-n", 9, "--kernel-seed", 2, "--k", 3,
+            assert run("solve", "--kernel", kern, "--k", 3,
                        "--method", "dpp", "--max-iters", 150, "--seed", 5,
                        "--workers", 2, "--out-dir", out) == 0
         assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
         assert (a / "best.json").read_bytes() == (b / "best.json").read_bytes()
 
     def test_zero_iterations_is_config_error(self, tmp_path, capsys):
-        code = run("solve", "--synth-n", 8, "--k", 2, "--method", "dpp",
+        code = run("solve", "--kernel", gen_kernel(tmp_path, 8), "--k", 2, "--method", "dpp",
                    "--max-iters", 0, "--out-dir", tmp_path / "x")
         assert code == 1
 
-    def test_requires_exactly_one_kernel_source(self, tmp_path, capsys):
-        code = run("solve", "--k", 2, "--method", "greedy",
-                   "--out-dir", tmp_path / "x")
-        assert code == 1
-        kern = tmp_path / "kernel.csv"
-        run("gen-kernel", "--n", 6, "--out", kern)
-        code = run("solve", "--kernel", kern, "--synth-n", 6, "--k", 2,
-                   "--method", "greedy", "--out-dir", tmp_path / "y")
-        assert code == 1
+    def test_kernel_file_is_the_only_kernel_source(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("solve", "--k", 2, "--method", "greedy", "--out-dir", tmp_path / "x") == 1
+        assert capsys.readouterr().err == "config error: --kernel, --k and --method are required\n"
+        kern = gen_kernel(tmp_path, 6)
+        for flag in ("--synth-n", "--lengthscale", "--nugget", "--kernel-seed"):
+            assert run("solve", "--kernel", kern, flag, 6, "--k", 2, "--method", "greedy",
+                       "--out-dir", tmp_path / "y") == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and flag in err
+        cfg = tmp_path / "run.cfg"
+        for key in ("synth_n", "lengthscale", "nugget", "kernel_seed"):
+            cfg.write_text(f"kernel={kern}\nk=2\nmethod=greedy\n{key}=6\n")
+            assert run("solve", "--config", cfg, "--out-dir", tmp_path / "y") == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"'{key}'" in err
+        assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("method", ["dpp", "greedy", "greedy-backward", "exchange",
+                                        "ga", "exhaustive"])
+    def test_k_out_of_range_exits_one_without_output(self, tmp_path, capsys, method):
+        kern = gen_kernel(tmp_path, 6)
+        for k in (0, 7):
+            capsys.readouterr()
+            out = tmp_path / f"k{k}"
+            assert run("solve", "--kernel", kern, "--k", k, "--method", method,
+                       "--max-iters", 5, "--out-dir", out) == 1
+            assert capsys.readouterr().err == f"config error: k must be in [1, 6], got {k}\n"
+            assert not out.exists()
 
     def test_ga_method_runs(self, tmp_path, capsys):
         out = tmp_path / "ga"
-        assert run("solve", "--synth-n", 10, "--kernel-seed", 1, "--k", 3,
+        assert run("solve", "--kernel", gen_kernel(tmp_path, 10, 1), "--k", 3,
                    "--method", "ga", "--max-iters", 10, "--seed", 2,
                    "--ga-population", 20, "--out-dir", out) == 0
         assert read_trace(out / "trace.csv").n == 11
@@ -118,7 +149,7 @@ class TestSolve:
         # At this size, leaving any one field at its default or swapping any
         # two of the values changes the trace.
         out = tmp_path / "ga"
-        assert run("solve", "--synth-n", 20, "--kernel-seed", 1, "--k", 5,
+        assert run("solve", "--kernel", gen_kernel(tmp_path, 20, 1), "--k", 5,
                    "--method", "ga", "--max-iters", 6, "--seed", 2,
                    "--ga-population", 20, "--ga-pcross", 0.5, "--ga-pmutprop", 0.4,
                    "--ga-pmut", 0.2, "--ga-elite", 0.25, "--ga-tournament", 3,
@@ -131,7 +162,7 @@ class TestSolve:
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("synth_n=10\nkernel_seed=7\nk=3\nmethod=greedy\n")
+        cfg.write_text(f"kernel={gen_kernel(tmp_path, 10, 7)}\nk=3\nmethod=greedy\n")
         out = tmp_path / "out"
         assert run("solve", "--config", cfg, "--method", "exhaustive",
                    "--out-dir", out) == 0
@@ -139,7 +170,7 @@ class TestSolve:
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("synth_n=10\nk=3\nmethod=dpp\nmax_iter=50\n")
+        cfg.write_text(f"kernel={gen_kernel(tmp_path, 10)}\nk=3\nmethod=dpp\nmax_iter=50\n")
         out = tmp_path / "out"
         assert run("solve", "--config", cfg, "--out-dir", out) == 1
         err = capsys.readouterr().err
@@ -148,7 +179,7 @@ class TestSolve:
 
     def test_bad_config_value_names_key_and_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("synth_n=10\nk=two\nmethod=greedy\n")
+        cfg.write_text(f"kernel={gen_kernel(tmp_path, 10)}\nk=two\nmethod=greedy\n")
         out = tmp_path / "out"
         assert run("solve", "--config", cfg, "--out-dir", out) == 1
         err = capsys.readouterr().err
@@ -157,7 +188,7 @@ class TestSolve:
 
     def test_exchange_method(self, tmp_path, capsys):
         out = tmp_path / "ex"
-        assert run("solve", "--synth-n", 9, "--kernel-seed", 3, "--k", 3,
+        assert run("solve", "--kernel", gen_kernel(tmp_path, 9, 3), "--k", 3,
                    "--method", "exchange", "--out-dir", out) == 0
 
     @staticmethod
@@ -177,22 +208,81 @@ class TestSolve:
 
     def test_stop_flags(self, tmp_path, capsys):
         out = tmp_path / "stop"
-        assert run("solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4,
+        kern = gen_kernel(tmp_path, 12, 7)
+        assert run("solve", "--kernel", kern, "--k", 4,
                    "--method", "dpp", "--max-iters", 2000, "--workers", 1,
                    "--stop", "--stop-check-every", 500, "--out-dir", out) == 0
         self.stopped_at_checkpoint(out, 2000)
-        assert run("solve", "--synth-n", 12, "--k", 4, "--method", "dpp",
+        assert run("solve", "--kernel", kern, "--k", 4, "--method", "dpp",
                    "--stop-delta", 2, "--out-dir", tmp_path / "bad") == 1
 
     def test_stop_config_keys(self, tmp_path, capsys):
         # a policy this lax fires at the first checkpoint with a usable fit
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("synth_n=12\nkernel_seed=7\nk=4\nmethod=dpp\n"
+        cfg.write_text(f"kernel={gen_kernel(tmp_path, 12, 7)}\nk=4\nmethod=dpp\n"
                        "max_iters=2000\nworkers=1\nstop_check_every=500\n"
                        "stop_delta=0.99\nstop_max_wait=1\n")
         out = tmp_path / "out"
         assert run("solve", "--config", cfg, "--out-dir", out) == 0
         assert self.stopped_at_checkpoint(out, 2000) is not None
+
+
+# Each argument list differs from TestRunIdentity.BASE in one setting that can
+# change a solve's output; greedy ignores most of them, and they still count.
+_ID_CHANGES = [("--stop",), ("--stop-epsilon", 0.01), ("--stop-delta", 0.5),
+               ("--stop-max-wait", 1000), ("--stop-check-every", 200),
+               ("--ga-population", 50), ("--ga-pcross", 0.5), ("--ga-pmutprop", 0.3),
+               ("--ga-pmut", 0.1), ("--ga-elite", 0.2), ("--ga-tournament", 3),
+               ("--seed", 1), ("--k", 4), ("--max-iters", 21), ("--method", "exchange")]
+
+
+class TestRunIdentity:
+    """run_id covers every solve setting that can change the output and the
+    kernel's bytes; not the kernel's path, the worker count or the out-dir."""
+
+    BASE = ("--k", 3, "--method", "greedy", "--max-iters", 20, "--seed", 0)
+
+    @staticmethod
+    def run_id(out, *argv):
+        assert run("solve", *argv, "--out-dir", out) == 0
+        return json.loads((out / "best.json").read_text())["run_id"]
+
+    @pytest.fixture
+    def base_id(self, tmp_path, capsys):
+        kern = gen_kernel(tmp_path, 9, 1)
+        return kern, self.run_id(tmp_path / "base", "--kernel", kern, *self.BASE)
+
+    @pytest.mark.parametrize("change", _ID_CHANGES, ids=[c[0] for c in _ID_CHANGES])
+    def test_each_setting_changes_the_id(self, tmp_path, base_id, change):
+        kern, base = base_id
+        assert self.run_id(tmp_path / "changed", "--kernel", kern, *self.BASE, *change) != base
+
+    def test_kernel_counts_by_its_bytes(self, tmp_path, base_id):
+        kern, base = base_id
+        copy = tmp_path / "elsewhere" / "copy.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(kern.read_bytes())
+        assert self.run_id(tmp_path / "copy", "--kernel", copy, *self.BASE) == base
+        assert run("gen-kernel", "--n", 9, "--seed", 2, "--out", kern) == 0
+        assert self.run_id(tmp_path / "other", "--kernel", kern, *self.BASE) != base
+
+    def test_config_file_and_flags_give_one_id(self, tmp_path, base_id):
+        kern, base = base_id
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kernel={kern}\nk=3\nmethod=greedy\nmax_iters=20\n")
+        assert self.run_id(tmp_path / "cfg", "--config", cfg) == base
+
+    def test_workers_leave_best_json_unchanged(self, tmp_path, capsys):
+        kern = gen_kernel(tmp_path, 9, 1)
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            assert run("solve", "--kernel", kern, "--k", 3, "--method", "dpp",
+                       "--max-iters", 300, "--workers", workers, "--out-dir", out) == 0
+        assert (outs[0] / "best.json").read_bytes() == (outs[1] / "best.json").read_bytes()
+        metas = [json.loads((out / "run_meta.json").read_text()) for out in outs]
+        assert metas[0]["config"] == metas[1]["config"]
+        assert metas[0]["config"]["kernel_sha256"] == hashlib.sha256(kern.read_bytes()).hexdigest()
+        assert [meta["workers"] for meta in metas] == [1, 2]
 
 
 class TestAnalyzeRecords:
@@ -247,7 +337,20 @@ class TestAnalyzeRecords:
         code = run("analyze-records", "--trace", trace, "--sigma", 0,
                    "--out-dir", tmp_path / "o")
         assert code == 3
-        assert "jitter" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "numeric error: unjittered tie: jitter the trace before extracting records"
+            " (re-run with a positive --sigma to jitter the trace)\n")
+
+    def test_other_numeric_errors_get_no_jitter_hint(self, tmp_path, capsys, monkeypatch):
+        # The hint follows the error's type, not a word in its message.
+        def fail(trace):
+            raise NumericError("no tie here")
+        monkeypatch.setattr(cli, "extract_records", fail)
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace)
+        assert run("analyze-records", "--trace", trace, "--sigma", 0,
+                   "--out-dir", tmp_path / "o") == 3
+        assert capsys.readouterr().err == "numeric error: no tie here\n"
 
 
 class TestFitTail:
@@ -397,7 +500,7 @@ class TestStoppingReportInputs:
     @pytest.mark.parametrize("target", ["kernel", "config", "trace", "fit", "reference"])
     def test_non_utf8_input_exits_two(self, inputs, tmp_path, capsys, target):
         # an otherwise good file with a 0xff byte at its end
-        good = {"kernel": b"1,0\n0,1\n", "config": b"synth_n=6\nk=2\nmethod=greedy\n"}
+        good = {"kernel": b"1,0\n0,1\n", "config": b"k=2\nmethod=greedy\n"}
         bad = tmp_path / f"{target}.txt"
         bad.write_bytes((good[target] if target in good else inputs[target].read_bytes())
                         + b"\xff")
@@ -418,7 +521,7 @@ class TestPipeline:
     @pytest.fixture
     def solved(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert run("solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4,
+        assert run("solve", "--kernel", gen_kernel(tmp_path, 12, 7), "--k", 4,
                    "--method", "dpp", "--max-iters", 3000, "--seed", 0,
                    "--workers", 2, "--out-dir", out) == 0
         return out
@@ -474,7 +577,8 @@ class TestPipeline:
         code = run("stopping-report", "--trace", other,
                    "--fits", fits / "fit_gpd.json", "--out-dir", tmp_path / "r")
         assert code == 1
-        assert "mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "mismatch" in err and "different trace file" in err and err.count("\n") == 1
 
     def test_trace_roundtrip_through_analyze(self, tmp_path, solved, capsys):
         out = tmp_path / "rec"
@@ -522,12 +626,13 @@ def test_import_leaves_scipy_unloaded():
 
 def test_commands_that_fit_nothing_leave_scipy_unloaded(tmp_path, capsys):
     pre = tmp_path / "pre"
-    assert run("solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4, "--method", "dpp",
+    kern = gen_kernel(tmp_path, 12, 7)
+    assert run("solve", "--kernel", kern, "--k", 4, "--method", "dpp",
                "--max-iters", 2000, "--seed", 0, "--workers", 1, "--out-dir", pre) == 0
     trace = pre / "trace.csv"
     assert run("fit-tail", "--trace", trace, "--families", "gpd,cens_weibull",
                "--out-dir", pre) == 0
-    solve = ["solve", "--synth-n", 12, "--kernel-seed", 7, "--k", 4, "--seed", 0]
+    solve = ["solve", "--kernel", kern, "--k", 4, "--seed", 0]
     commands = [[*solve, "--method", "dpp", "--max-iters", 2000, "--workers", 2]]
     commands += [[*solve, "--method", m, "--max-iters", 5] for m in ("greedy", "exchange", "ga")]
     commands.append(["analyze-records", "--trace", trace])

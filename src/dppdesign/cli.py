@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 configuration, 2 input/output, 3 numeric, 4 budget.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -26,7 +28,6 @@ from .records import JitterConfig, expected_record_count, extract_records, jitte
 from .search import (
     GaConfig,
     best_subset,
-    default_workers,
     dpp_search,
     exchange_refine,
     exhaustive_search,
@@ -62,7 +63,7 @@ FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
 # solve key (flag dest and config-file key) -> (cast, default)
 _SOLVE_KEYS = {
     "kernel": (str, None), "k": (int, None), "method": (str, None),
-    "max_iters": (int, 10_000), "seed": (int, 0), "workers": (int, default_workers()),
+    "max_iters": (int, 10_000), "seed": (int, 0), "workers": (int, os.cpu_count() or 1),
     "stop_epsilon": (float, None), "stop_delta": (float, None),
     "stop_max_wait": (float, None), "stop_check_every": (int, None),
 }
@@ -179,9 +180,11 @@ def cmd_solve(args) -> int:
     wall = time.perf_counter() - t0
 
     # Every setting that can change the output, even one the method ignores; the
-    # kernel counts by its bytes, and workers not, as traces do not depend on it.
-    config = {key: getattr(args, key) for key in (*_SOLVE_KEYS, *_GA_FIELDS, "stop")
-              if key not in ("kernel", "workers")}
+    # kernel counts by its bytes, the stop flags by the policy they resolve to,
+    # and workers not, as traces do not depend on it.
+    config = {key: getattr(args, key) for key in (*_SOLVE_KEYS, *_GA_FIELDS)
+              if key not in ("kernel", "workers", *_STOP_FIELDS)}
+    config["stop"] = None if policy is None else dataclasses.asdict(policy)
     config["kernel_sha256"] = _sha256(args.kernel)
     run_id = _run_id(config)
 

@@ -217,6 +217,13 @@ def record_time_pmf(kth: int, n: int) -> float:
     return record_count_pmf(n - 1, kth) / n
 
 
+def _exact_gap_tail(kth: int, j: int) -> Fraction:
+    """P(gap after the (kth-1)-th record exceeds j), as an exact rational
+    alternating sum."""
+    return sum((Fraction((-1) ** m * math.comb(j, m), (1 + m) ** kth)
+                for m in range(j + 1)), Fraction(0))
+
+
 def inter_record_time_tail(kth: int, j: int) -> float:
     """P(gap after the (kth-1)-th record exceeds j).
 
@@ -230,13 +237,8 @@ def inter_record_time_tail(kth: int, j: int) -> float:
         raise ValueError(f"kth must be >= 1, got {kth}")
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    if j == 0:
-        return 1.0
     if j <= _EXACT_GAP_LIMIT:
-        total = Fraction(0)
-        for m in range(j + 1):
-            total += Fraction((-1) ** m * math.comb(j, m), (1 + m) ** kth)
-        return float(total)
+        return float(_exact_gap_tail(kth, j))
 
     lg = math.lgamma(kth)
 
@@ -258,10 +260,7 @@ def inter_record_time_pmf(kth: int, j: int) -> float:
     if j < 1:
         raise ValueError(f"j must be >= 1, got {j}")
     if j - 1 <= _EXACT_GAP_LIMIT:
-        total = Fraction(0)
-        for m in range(j):
-            total += Fraction((-1) ** m * math.comb(j - 1, m), (2 + m) ** kth)
-        return float(total)
+        return float(_exact_gap_tail(kth, j - 1) - _exact_gap_tail(kth, j))
     return inter_record_time_tail(kth, j - 1) - inter_record_time_tail(kth, j)
 
 

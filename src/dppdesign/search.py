@@ -24,7 +24,6 @@ arises on the same inputs as under per-candidate scoring.
 import logging
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -508,7 +507,3 @@ def best_subset(K: KernelMatrix, trace: SampleTrace) -> DesignSubset:
     """DesignSubset for the best entry of a trace."""
     _, _, sub = trace.best()
     return design_subset(K, sub)
-
-
-def default_workers() -> int:
-    return os.cpu_count() or 1

@@ -89,7 +89,6 @@ class StoppingReport:
     rows: tuple
     increment_mode: str
     increment_scale: float | None
-    reference: float | None
 
 
 def _survival_ratio(fit: FittedCdf, r_from: float, r_to: float) -> float:
@@ -167,8 +166,6 @@ def _build_row(fit, time, value, epsilons, mode, scale, reference) -> StoppingRo
 def _increment_setup(records: RecordSequence, epsilons, reference):
     """Sorted epsilons, increment mode and additive scale for a report;
     rejects a negative or non-finite epsilon and a non-finite reference."""
-    if records.count == 0:
-        raise ValueError("record sequence is empty")
     eps = tuple(sorted(float(e) for e in (epsilons or DEFAULT_EPSILONS)))
     if not all(0 <= e < math.inf for e in eps):
         raise ValueError(f"epsilons must be finite and nonnegative, got {eps}")
@@ -206,7 +203,6 @@ def build_stopping_report(records: RecordSequence, fits, epsilons=None,
                 rows=rows,
                 increment_mode=mode,
                 increment_scale=scale,
-                reference=reference,
             )
         )
     return reports

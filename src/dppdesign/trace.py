@@ -14,6 +14,8 @@ from .errors import InputFormatError
 from .textio import read_text, write_csv
 
 TRACE_HEADER = "iteration,log_det,is_record,subset"
+# Every byte but , ; and newline: deleting them leaves each line's skeleton.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",;\n")
 
 
 def record_flags(values: np.ndarray) -> np.ndarray:
@@ -90,24 +92,6 @@ def _load_rows(text: str, k: int) -> np.ndarray:
                       delimiter=",", comments=None, ndmin=1)
 
 
-def _comma_lines(body: bytes) -> int:
-    """The number of lines of body that hold commas, if each holds three;
-    else -1.  Among the semicolons and the bytes at or below a comma
-    (commas, line ends, blanks, tabs and plus signs), each line's commas
-    must sit next to each other and its third be followed by nothing but
-    semicolons up to its newline, so a blank between them or a semicolon
-    in one of its first three fields also gives -1."""
-    raw = np.frombuffer(body, np.uint8)
-    marks = np.append(raw[np.flatnonzero((raw <= 44) | (raw == 59))], 10)
-    at = np.flatnonzero(marks == 44)
-    # Each third comma and each semicolon is followed by a semicolon or a newline.
-    tail = marks == 59
-    tail[at[2::3]] = True
-    triples = (at.size % 3 == 0 and np.all(at[2::3] - at[::3] == 2)
-               and not np.any(tail[:-1] & (marks[1:] != 59) & (marks[1:] != 10)))
-    return at.size // 3 if triples else -1
-
-
 def read_trace(path) -> SampleTrace:
     text = read_text(path, "trace")
     header, _, body = text.lstrip().partition("\n")
@@ -121,15 +105,16 @@ def read_trace(path) -> SampleTrace:
     if not first:
         raise InputFormatError(f"empty trace: {path}")
     # One numpy pass over all rows, with k read off the first row's subset.
-    # It reads a comma in a subset as a semicolon, so each row's line must
-    # also hold three commas.
+    # It reads a semicolon as a comma, so each nonblank line must also hold
+    # three commas, then k - 1 semicolons, and no other separators.  The
+    # skeleton is built after the pass, so that it does not add to its peak.
     k = first.rpartition(",")[2].count(";") + 1
-    lines = _comma_lines(body.encode())
     try:
         rows = _load_rows(body, k)
     except ValueError:
         rows = None
-    if rows is None or lines != rows.size:
+    if rows is None or (body.encode().translate(None, _NOT_SEPARATORS).split()
+                        != [b",,," + b";" * (k - 1)] * rows.size):
         # numpy's row numbers count from 0 or 1 by the kind of error, and count
         # index cells as columns, so each line is checked alone to name it.
         for number, line in enumerate(body.split("\n"), start=first_line):

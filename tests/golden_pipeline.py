@@ -5,7 +5,8 @@ digests with `golden_outputs.json`.  The pipeline is a gen-kernel file
 (n=12) searched by dpp with and without the stopping policy, greedy and
 exhaustive, then analyze-records, fit-tail with four families and
 stopping-report with four fits.
-`run_meta.json` holds a wall time and a timestamp, so it is not hashed.
+`run_meta.json` holds a wall time and a timestamp, so only its config
+object, the input of the run id, is hashed, as canonical JSON.
 
 To regenerate the JSON, run this script on the code whose outputs are the
 reference, from the repository root:
@@ -37,11 +38,13 @@ def _run(*argv) -> None:
 
 def run_pipeline(out: Path) -> dict:
     """Run the pipeline under out; returns {relative path: sha256} of every
-    file it wrote except run_meta.json."""
+    file it wrote except run_meta.json, and {path#config: sha256} of each
+    run_meta.json's config."""
     _run("gen-kernel", "--n", 12, "--seed", 7, "--out", out / "kernel.csv")
     # The policy run's checks read unevaluable, continue, then stop at 600.
     stop = ("--stop", "--stop-check-every", 200, "--stop-delta", 0.95, "--stop-max-wait", 1500)
-    for name, extra in (("dpp", ()), ("stop", stop), ("greedy", ()), ("exhaustive", ())):
+    solves = (("dpp", ()), ("stop", stop), ("greedy", ()), ("exhaustive", ()))
+    for name, extra in solves:
         method = "dpp" if name == "stop" else name
         _run("solve", "--kernel", out / "kernel.csv", *SOLVE, "--method", method, "--max-iters", 3000, "--workers", 2,
              *extra, "--out-dir", out / name)
@@ -52,11 +55,16 @@ def run_pipeline(out: Path) -> dict:
     _run("stopping-report", "--trace", trace,
          "--fits", ",".join(str(out / "fits" / f"fit_{f}.json") for f in FAMILIES),
          "--reference-json", out / "greedy" / "best.json", "--out-dir", out / "report")
-    return {
+    digests = {
         path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.rglob("*"))
         if path.is_file() and path.name != "run_meta.json"
     }
+    for name, _ in solves:
+        config = json.loads((out / name / "run_meta.json").read_text())["config"]
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        digests[f"{name}/run_meta.json#config"] = hashlib.sha256(canon.encode()).hexdigest()
+    return digests
 
 
 if __name__ == "__main__":

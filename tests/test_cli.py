@@ -266,6 +266,13 @@ class TestRunIdentity:
         assert run("gen-kernel", "--n", 9, "--seed", 2, "--out", kern) == 0
         assert self.run_id(tmp_path / "other", "--kernel", kern, *self.BASE) != base
 
+    def test_stop_flags_count_by_the_policy_they_resolve_to(self, tmp_path, base_id):
+        kern, base = base_id
+        ids = {self.run_id(tmp_path / f"stop{i}", "--kernel", kern, *self.BASE, *flags)
+               for i, flags in enumerate([("--stop",), ("--stop", "--stop-epsilon", 0.001),
+                                          ("--stop-epsilon", 0.001)])}
+        assert len(ids) == 1 and base not in ids
+
     def test_config_file_and_flags_give_one_id(self, tmp_path, base_id):
         kern, base = base_id
         cfg = tmp_path / "run.cfg"

@@ -186,8 +186,7 @@ def test_stopping(tmp_path):
         ])
     )
     report = StoppingReport(model="gpd", epsilons=eps, rows=rows,
-                            increment_mode="multiplicative", increment_scale=None,
-                            reference=1.0)
+                            increment_mode="multiplicative", increment_scale=None)
     same_bytes(tmp_path, old_write_stopping_csv, write_stopping_csv, report)
     text = (tmp_path / "new").read_text()
     assert ",n/a," in text and ",>1," in text and text.count(",inf\n") == 1

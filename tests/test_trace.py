@@ -146,6 +146,7 @@ ROWS = [
     (" 3 , 9 ,1, 0 ; 1 ", True),            # padded whitespace
     ("3,9,yes,0;1", True),                  # the flag is not read
     ("3,+9e0,1,+0;1", True),
+    ("3,\t9,1,\t+0;+1", True),             # tabs and plus signs
 ]
 # Rows the old reader took through Python's int() and float() or its
 # skipping of empty index cells and blank lines, which the columnar reader
@@ -210,13 +211,19 @@ BAD_LINES = [
     # cell count of a good one, so only its line's semicolons refuse it.
     (f"{TRACE_HEADER}\n1,-1,1,0;1\n2,-2;1,1,3\n", 3,
      "expected 2 subset indices as in the first row, found 1"),
+    # A semicolon in the flag field, and one in the iteration field.
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2,2,1;0,1\n", 3,
+     "expected 2 subset indices as in the first row, found 1"),
+    (f"{TRACE_HEADER}\n1,1,1,0;1\n2;3,2,1,0;1\n", 3,
+     "the dtype passed requires 5 columns but 6 were found"),
 ]
 
 
 @pytest.mark.parametrize("text,line,reason", BAD_LINES, ids=[
     "bad-cell", "fractional-int", "extra-index", "missing-index", "few-fields",
     "extra-field", "spaces-only", "blank-lines-and-crlf", "comma-in-subset",
-    "balanced-commas", "balanced-commas-reversed", "semicolon-in-log-det"])
+    "balanced-commas", "balanced-commas-reversed", "semicolon-in-log-det",
+    "semicolon-in-flag", "semicolon-in-iteration"])
 def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
     path = tmp_path / "trace.csv"
     path.write_bytes(text.encode())

@@ -45,6 +45,7 @@ from .stopping import (
 from .tails import (
     FittedCdf,
     _is_number,
+    _write_qq,
     fit_censored_weibull,
     fit_comparators,
     fit_gpd_pot,
@@ -53,7 +54,6 @@ from .tails import (
     qq_points,
     write_density_overlay,
     write_fit_report,
-    write_qq_csv,
 )
 from .textio import read_text, write_json
 from .trace import SampleTrace, read_trace, write_trace
@@ -259,6 +259,7 @@ def cmd_fit_tail(args) -> int:
 
     q = args.threshold_quantile
     comparators = {}
+    sample = None  # the sorted sample and its cells, formatted once for every QQ file
     for family in families:
         if family == "gpd":
             fitted = fitted_cdf_from_gpd(fit_gpd_pot(values, q), values)
@@ -268,10 +269,10 @@ def cmd_fit_tail(args) -> int:
             comparators = comparators or {f.family: f for f in fit_comparators(values)}
             fitted = comparators[family]
         write_fit_report(fitted, out / f"fit_{family}.json", meta)
-        write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv")
+        sample = _write_qq(qq_points(fitted, values), out / f"qq_{family}_full.csv", sample)
         if fitted.threshold is not None:
-            write_qq_csv(qq_points(fitted, values, upper_tail_only=True),
-                         out / f"qq_{family}_tail.csv")
+            _write_qq(qq_points(fitted, values, upper_tail_only=True),
+                      out / f"qq_{family}_tail.csv", sample)
         write_density_overlay(fitted, values, out / f"density_{family}.csv")
         print(f"fit {family}: {json.dumps(fitted.params, sort_keys=True)}")
     return 0

@@ -12,20 +12,21 @@ inverted on evaluation.
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# scipy is imported where it is called (here and in records.py), not at
-# module load: its optimize, special and integrate modules cost about 0.4 s
-# and 43 MB at start-up, and the commands that fit nothing never use them.
+# scipy is imported where it is called (special for the lognormal here,
+# integrate in records.py), not at module load: it costs about 0.4 s and
+# 43 MB at start-up, and the fits never use it.
 
 from .errors import (
     DegenerateSampleError,
     InsufficientTailDataError,
     NonConvergenceError,
 )
-from .textio import write_csv, write_json
+from .textio import Cells, float_cells, write_csv, write_json
 
 _MIN_EXCEEDANCES = 30
 _XI_EXP_BRANCH = 1e-6  # |xi| below this uses the exponential-limit formulas
@@ -33,7 +34,7 @@ _SHIFT_MARGIN = 1e-6
 _SOLVE_OPTIONS = {"xatol": 1e-10, "maxiter": 500}
 # The GPD fit's coarse grid over u = log1p(theta * z_max): u -> -inf is the
 # support bound theta = -1/z_max and u = 0 the exponential limit theta = 0.
-_GPD_GRID = np.linspace(-20.0, 20.0, 21)
+_GPD_GRID = np.linspace(-20.0, 20.0, 21).tolist()
 _XI_MIN = math.nextafter(-0.99, 0.0)  # the shape constraint xi > -0.99
 _LOG_SHAPE_BOUNDS = (-12.0, 12.0)  # the Weibull fit's range of log shape
 _REAL = (int, float, np.integer, np.floating)
@@ -317,33 +318,113 @@ def sorted_quantile(srt: np.ndarray, q: float) -> float:
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
+# The fits' two Brent solvers are scipy's, ported step for step to plain
+# floats: the same bits, without loading scipy.optimize.
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SOLVE_MESSAGES = ("Solution found.", "Maximum number of function calls reached.",
+                   "NaN result encountered.")
+
+
+def _fminbound(f, a: float, b: float, xatol: float, maxiter: int):
+    """(x, evaluations, status) of scipy's bounded minimiser
+    (_minimize_scalar_bounded, Forsythe-Malcolm-Moler fmin): status 0
+    converged, 1 reached maxiter evaluations, 2 met a NaN."""
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num, status, fu = 1, 0, math.inf
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the last three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:
+                    rat = tol1 * (-1.0 if xm - xf < 0 else 1.0)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        if num >= maxiter:
+            status = 1
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        status = 2
+    return xf, num, status
+
+
 def _bounded_argmin(f, lo: float, hi: float) -> float:
     """Bounded Brent minimiser of a scalar function on [lo, hi]; a solve
     that ends on a bound or at its iteration cap is logged at DEBUG."""
-    from scipy import optimize
-
-    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                   options=_SOLVE_OPTIONS)
-    x = float(res.x)
-    if res.status != 0 or min(x - lo, hi - x) <= 1e-6 * (hi - lo):
+    x, nfev, status = _fminbound(f, lo, hi, **_SOLVE_OPTIONS)
+    if status != 0 or min(x - lo, hi - x) <= 1e-6 * (hi - lo):
         logging.getLogger(__name__).debug(
             "bounded solve on [%g, %g] stopped at %.17g after %d evaluations: %s",
-            lo, hi, x, res.nfev, res.message
+            lo, hi, x, nfev, _SOLVE_MESSAGES[status]
         )
     return x
 
 
-def gpd_exceedance_loglik(sigma: float, xi: float, exc: np.ndarray) -> float:
-    """Log-likelihood of exceedances y - mu >= 0 under GPD(sigma, xi)."""
-    if sigma <= 0 or xi <= -0.99:
-        return -np.inf
-    z = exc / sigma
-    if abs(xi) < _XI_EXP_BRANCH:
-        return float(-exc.size * math.log(sigma) - z.sum())
-    w = 1.0 + xi * z
-    if w.min() <= 0:
-        return -np.inf
-    return float(-exc.size * math.log(sigma) - (1.0 + 1.0 / xi) * np.log(w).sum())
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """A root of f between xa and xb by scipy's brentq (its C code, rtol
+    4 eps); signs compare as C's signbit does.  f(xa) and f(xb) of one sign
+    raise ValueError, and maxiter iterations raise NonConvergenceError."""
+    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
+    if fpre == 0 or fcur == 0:
+        return xa if fpre == 0 else xb
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, as C does where the step divides by zero
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                if den := dblk * dpre * (fblk - fpre):
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise NonConvergenceError(f"root solve failed to converge after {maxiter} iterations")
 
 
 def _gpd_profile(u: float, exc: np.ndarray, zmax: float):
@@ -380,7 +461,7 @@ def fit_gpd_sorted(srt: np.ndarray, threshold_quantile: float = 0.9) -> GpdFit:
     # more than this loop once m reaches thousands.
     i = int(np.argmin([_gpd_profile(u, exc, zmax)[0] for u in _GPD_GRID]))
     u = _bounded_argmin(lambda u: _gpd_profile(u, exc, zmax)[0],
-                        _GPD_GRID[max(i - 1, 0)], _GPD_GRID[min(i + 1, _GPD_GRID.size - 1)])
+                        _GPD_GRID[max(i - 1, 0)], _GPD_GRID[min(i + 1, len(_GPD_GRID) - 1)])
     nll, sigma, xi = _gpd_profile(u, exc, zmax)
     if not (math.isfinite(nll) and sigma > 0):
         raise NonConvergenceError("GPD likelihood optimization failed")
@@ -401,24 +482,6 @@ def fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
     return fit_gpd_sorted(np.sort(_check_values(values)), threshold_quantile)
 
 
-def censored_weibull_loglik(shape: float, scale: float, noncensored: np.ndarray,
-                            censor_point: float, n_censored: int) -> float:
-    """Likelihood with n_censored observations left-censored at censor_point."""
-    if shape <= 0 or scale <= 0:
-        return -np.inf
-    z = noncensored / scale
-    ll = float(
-        noncensored.size * (math.log(shape) - math.log(scale))
-        + (shape - 1.0) * np.log(z).sum()
-        - np.power(z, shape).sum()
-    )
-    if n_censored:
-        t = (censor_point / scale) ** shape
-        # log F(censor_point) = log(1 - exp(-t)), kept stable for tiny t
-        ll += n_censored * math.log(-math.expm1(-t))
-    return ll
-
-
 def _exp_ratio(y: float) -> float:
     """y / expm1(y), with its limit 1 at y = 0."""
     return y / math.expm1(y) if y > 0 else 1.0
@@ -436,9 +499,7 @@ def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
         return b
     if excess(a) <= 0.0:
         return a
-    from scipy import optimize
-
-    return optimize.brentq(excess, a, b, xtol=1e-14)
+    return _brentq(excess, a, b, xtol=1e-14)
 
 
 def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:
@@ -612,7 +673,20 @@ def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
 
 
 def write_qq_csv(points: np.ndarray, path) -> None:
-    write_csv(path, ("theoretical", "empirical"), points.T)
+    _write_qq(points, path, None)
+
+
+def _write_qq(points: np.ndarray, path, sample):
+    """write_qq_csv; returns sample, or (empirical column, its cells) when
+    sample is None.  fit-tail passes the return to each later write of the
+    same sample, whose empirical columns are all suffixes of the first:
+    those cells are reused, and a theoretical value is formatted only where
+    its bits differ from the empirical value beside it."""
+    theo, emp = points.T
+    sample = sample or (emp, float_cells(emp))
+    write_csv(path, ("theoretical", "empirical"),
+              [Cells(float_cells(theo, sample)), Cells(float_cells(emp, sample))])
+    return sample
 
 
 def write_density_overlay(fit: FittedCdf, values, path) -> None:

@@ -2,6 +2,7 @@
 one dump for every report JSON."""
 
 import json
+from itertools import chain, islice
 
 import numpy as np
 
@@ -10,6 +11,31 @@ from .errors import InputFormatError
 # printf conversion of a numpy column by dtype kind; each row of a 2-D
 # column is one cell of ;-joined values (a subset's indices).
 _FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "b": "%d"}
+_BLOCK_ROWS = 512  # rows filled into one printf template
+
+
+class Cells:
+    """A column of cells already formatted, written as they are."""
+
+    def __init__(self, cells):
+        self.cells = cells
+
+
+def float_cells(x, reuse=None) -> list:
+    """The %.17g cells of a 1-d float array.  With reuse = (y, cells of y),
+    y at least as long as x, x is matched against y's last x.size values:
+    where the bits agree the cell of y is reused, and only the other values
+    are formatted (bits, not ==, since -0.0 == 0.0 but prints as -0)."""
+    fmt = _FORMATS["f"].__mod__
+    if reuse is None:
+        return list(map(fmt, x.tolist()))
+    y, cells = reuse
+    start = y.size - x.size
+    out = cells[start:]
+    idx = np.flatnonzero(x.view(np.int64) != y[start:].view(np.int64)).tolist()
+    for i, v in zip(idx, x[idx].tolist()):
+        out[i] = fmt(v)
+    return out
 
 
 def read_text(path, what) -> str:
@@ -41,8 +67,10 @@ def _cell(x) -> str:
 
 
 def _column(c):
-    """(printf conversions, value sequences) of one column: a numeric numpy
-    column is formatted by its dtype, anything else cell by cell."""
+    """(printf conversions, value sequences) of one column: Cells as they
+    are, a numeric numpy column by its dtype, anything else cell by cell."""
+    if isinstance(c, Cells):
+        return "%s", [c.cells]
     if isinstance(c, np.ndarray) and c.dtype.kind in _FORMATS:
         if c.ndim == 2:
             return ";".join([_FORMATS[c.dtype.kind]] * c.shape[1]), [v.tolist() for v in c.T]
@@ -53,12 +81,15 @@ def _column(c):
 def write_csv(path, header, columns) -> None:
     """Header row, then one row per position of the equal-length columns
     (sequences, numpy arrays, or 2-D integer arrays written as ;-joined
-    subsets).  Each row is filled into one printf template."""
+    subsets), filled into one printf template per _BLOCK_ROWS rows."""
     specs, values = zip(*map(_column, columns))
+    sequences = [v for vs in values for v in vs]
     template = ",".join(specs) + "\n"
+    flat = chain.from_iterable(zip(*sequences))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_quote, header)) + "\n")
-        fh.writelines(template % row for row in zip(*(v for vs in values for v in vs)))
+        while block := tuple(islice(flat, _BLOCK_ROWS * len(sequences))):
+            fh.write(template * (len(block) // len(sequences)) % block)
 
 
 def write_json(path, payload) -> None:

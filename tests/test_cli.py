@@ -606,10 +606,11 @@ class TestGoldenOutputs:
         assert [name for name in golden if digests[name] != golden[name]] == []
 
 
-# scipy is imported where a fit, a lognormal evaluation or a record-gap
-# integral calls it.  Loading scipy.optimize, scipy.special and
-# scipy.integrate with the package took about 0.4 s and 43 MB of peak RSS
-# per command (measured on a 2-core VM); these tests start fresh
+# scipy is imported where a lognormal evaluation or a record-gap integral
+# calls it; the tail fits and the stopping-policy check run on numpy and
+# the package's own Brent solvers.  Loading scipy.optimize, scipy.special
+# and scipy.integrate with the package took about 0.4 s and 43 MB of peak
+# RSS per command (measured on a 2-core VM); these tests start fresh
 # interpreters, since the test modules themselves import scipy.
 _LIST_SCIPY = ("print(json.dumps(sorted(m for m in sys.modules "
                "if m == 'scipy' or m.startswith('scipy.'))))")
@@ -659,9 +660,9 @@ def test_commands_that_fit_nothing_leave_scipy_unloaded(tmp_path, capsys):
     assert (tmp_path / "6" / "stopping_cens_weibull.csv").exists()
 
 
-# Each call reaches a deferred scipy import: the GPD fit's bounded solve,
-# the censored Weibull's root solve, the lognormal's ndtr and ndtri, and the
-# quadrature beyond the exact gap limit (j = 100 > 64).
+# The fits reach the package's bounded and root solvers, and the other
+# calls reach a deferred scipy import: the lognormal's ndtr and ndtri, and
+# the quadrature beyond the exact gap limit (j = 100 > 64).
 _COLD_CALLS = """
 import numpy as np
 from dppdesign import FittedCdf, fit_censored_weibull, fit_gpd_pot, inter_record_time_tail
@@ -675,11 +676,11 @@ results = (fit_gpd_pot(x), fit_censored_weibull(x),
 
 
 def test_cold_scipy_imports_give_the_same_floats(monkeypatch):
-    from scipy import optimize
+    from dppdesign import tails
 
     brentq_calls = []
-    brentq = optimize.brentq
-    monkeypatch.setattr(optimize, "brentq",
+    brentq = tails._brentq
+    monkeypatch.setattr(tails, "_brentq",
                         lambda *a, **kw: brentq_calls.append(1) or brentq(*a, **kw))
     namespace = {}
     exec(_COLD_CALLS, namespace)
@@ -691,3 +692,51 @@ def test_cold_scipy_imports_give_the_same_floats(monkeypatch):
         + _COLD_CALLS + "print(cold)\nprint(repr(results))\n"
     ).splitlines()
     assert out == ["True", repr(namespace["results"])]
+
+
+def test_fits_and_policy_checks_leave_scipy_unloaded(tmp_path):
+    kern = gen_kernel(tmp_path, 12, 7)
+    fits = tmp_path / "fits"
+    solve = ["solve", "--kernel", kern, "--k", 4, "--method", "dpp", "--max-iters", 3000,
+             "--seed", 0, "--workers", 1]
+    families = ("gpd", "cens_weibull", "weibull")
+    commands = [
+        [*solve, "--stop", "--stop-check-every", 500, "--out-dir", tmp_path / "stop"],
+        [*solve, "--out-dir", tmp_path / "full"],
+        ["fit-tail", "--trace", tmp_path / "full" / "trace.csv",
+         "--families", ",".join(families), "--out-dir", fits],
+        ["stopping-report", "--trace", tmp_path / "full" / "trace.csv",
+         "--fits", ",".join(str(fits / f"fit_{fam}.json") for fam in families),
+         "--out-dir", tmp_path / "report"],
+    ]
+    out = _fresh_python(
+        "import json, sys\n"
+        "from dppdesign import StoppingPolicy, dpp_search, load_kernel\n"
+        "from dppdesign.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "K = load_kernel(sys.argv[2])\n"
+        "checks = [[c.xi is not None for c in dpp_search(\n"
+        "    K, 4, 3000, stop=StoppingPolicy(check_every=500), workers=w).policy_checks]\n"
+        "    for w in (1, 2)]\n"
+        "print(json.dumps([codes, checks]))\n" + _LIST_SCIPY,
+        json.dumps([[*map(str, argv)] for argv in commands]), kern,
+    ).splitlines()
+    codes, checks = json.loads(out[-2])
+    assert codes == [0] * len(commands)
+    assert checks[0] == checks[1] and checks[0] and all(checks[0])  # every check fitted
+    assert json.loads(out[-1]) == []
+    with open(tmp_path / "stop" / "policy.csv", newline="") as fh:
+        assert [row["xi"] != "" for row in csv.DictReader(fh)] == checks[0]
+    assert sorted(p.name for p in (tmp_path / "report").glob("stopping_*.csv")) == [
+        f"stopping_{fam}.csv" for fam in sorted(families)]
+
+    out = _fresh_python(
+        "import json, sys\n"
+        "from dppdesign.cli import main\n"
+        "print(main(sys.argv[1:]))\n" + _LIST_SCIPY,
+        "fit-tail", "--trace", tmp_path / "full" / "trace.csv", "--families", "lognormal",
+        "--out-dir", tmp_path / "lognormal",
+    ).splitlines()
+    assert out[-2] == "0"
+    loaded = json.loads(out[-1])
+    assert "scipy.special" in loaded and not any(m.startswith("scipy.optimize") for m in loaded)

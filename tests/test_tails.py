@@ -23,14 +23,48 @@ from dppdesign import tails
 from dppdesign.errors import NonConvergenceError
 from dppdesign.tails import (
     _MIN_EXCEEDANCES,
+    _XI_EXP_BRANCH,
     CensWeibullFit,
     FittedCdf,
     GpdFit,
     _check_values,
     _support_shift,
-    censored_weibull_loglik,
-    gpd_exceedance_loglik,
 )
+
+
+# ---------------------------------------------------------------------------
+# The two likelihoods in their plain form, for the fits' oracles and checks
+
+
+def gpd_exceedance_loglik(sigma: float, xi: float, exc: np.ndarray) -> float:
+    """Log-likelihood of exceedances y - mu >= 0 under GPD(sigma, xi)."""
+    if sigma <= 0 or xi <= -0.99:
+        return -np.inf
+    z = exc / sigma
+    if abs(xi) < _XI_EXP_BRANCH:
+        return float(-exc.size * math.log(sigma) - z.sum())
+    w = 1.0 + xi * z
+    if w.min() <= 0:
+        return -np.inf
+    return float(-exc.size * math.log(sigma) - (1.0 + 1.0 / xi) * np.log(w).sum())
+
+
+def censored_weibull_loglik(shape: float, scale: float, noncensored: np.ndarray,
+                            censor_point: float, n_censored: int) -> float:
+    """Likelihood with n_censored observations left-censored at censor_point."""
+    if shape <= 0 or scale <= 0:
+        return -np.inf
+    z = noncensored / scale
+    ll = float(
+        noncensored.size * (math.log(shape) - math.log(scale))
+        + (shape - 1.0) * np.log(z).sum()
+        - np.power(z, shape).sum()
+    )
+    if n_censored:
+        t = (censor_point / scale) ** shape
+        # log F(censor_point) = log(1 - exp(-t)), kept stable for tiny t
+        ll += n_censored * math.log(-math.expm1(-t))
+    return ll
 
 
 def gpd_sample(xi, n, seed, sigma=1.0):

@@ -24,12 +24,13 @@ from dppdesign.stopping import (
 from dppdesign.tails import (
     FittedCdf,
     _check_values,
+    _write_qq,
     exponential_cdf,
     write_density_overlay,
     write_fit_report,
     write_qq_csv,
 )
-from dppdesign.textio import write_csv, write_json
+from dppdesign.textio import Cells, float_cells, write_csv, write_json
 from dppdesign.trace import TRACE_HEADER, SampleTrace, record_flags, write_trace
 
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, -2.5, 1 / 3]
@@ -163,6 +164,41 @@ def test_record_log(tmp_path, with_subsets):
 
 def test_qq(tmp_path):
     points = np.column_stack([SPECIAL, SPECIAL[::-1]])
+    same_bytes(tmp_path, old_write_qq_csv, write_qq_csv, points)
+
+
+def test_qq_files_of_one_sample(tmp_path):
+    srt = np.array([-math.inf, -1.0, -0.0, 0.0, 5e-324, 1 / 3, 1e308, math.inf])
+    full = np.column_stack([[-0.0, -1.0, 0.0, -0.0, 5e-324, math.nan, 2.0, math.inf], srt])
+    tail = np.column_stack([[0.0, -0.0, 1 / 3, 1e308, math.nan], srt[3:]])
+    other = np.column_stack([srt, srt[::-1]])  # not a suffix: formatted afresh
+    sample = None
+    for i, points in enumerate([full, tail, other, full[:0]]):
+        old_write_qq_csv(points, tmp_path / f"old{i}")
+        sample = _write_qq(points, tmp_path / f"new{i}", sample)
+        assert (tmp_path / f"new{i}").read_bytes() == (tmp_path / f"old{i}").read_bytes()
+    assert np.shares_memory(sample[0], full) and sample[1] == [f"{v:.17g}" for v in srt]
+
+
+def test_float_cells_reuse_only_equal_bits():
+    y = np.array([-0.0, 0.0, 1 / 3, math.nan, 2.0])
+    cells = float_cells(y)
+    assert cells == ["-0", "0", "0.33333333333333331", "nan", "2"]
+    x = np.array([-0.0, 1 / 3, -math.nan, 2.0])  # aligned with y[1:]
+    out = float_cells(x, (y, cells))
+    assert out == ["-0", "0.33333333333333331", "nan", "2"]
+    assert [a is b for a, b in zip(out, cells[1:])] == [False, True, False, True]
+    assert float_cells(x[:0], (y, cells)) == []
+
+
+def test_preformatted_cells(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"], [Cells(iter(["1,5", "x"])), [1.5, None]])
+    assert (tmp_path / "t.csv").read_text() == "a,b\n1,5,1.5\nx,\n"
+
+
+def test_rows_past_one_block(tmp_path):
+    values = np.random.default_rng(1).normal(size=1500) ** 3
+    points = np.column_stack([values, np.sort(values)])
     same_bytes(tmp_path, old_write_qq_csv, write_qq_csv, points)
 
 

@@ -18,7 +18,6 @@ from . import __version__
 from .errors import (
     BudgetError,
     ConfigError,
-    DesignError,
     InputFormatError,
     NumericError,
     TieError,
@@ -45,7 +44,6 @@ from .stopping import (
 from .tails import (
     FittedCdf,
     _is_number,
-    _write_qq,
     fit_censored_weibull,
     fit_comparators,
     fit_gpd_pot,
@@ -54,6 +52,7 @@ from .tails import (
     qq_points,
     write_density_overlay,
     write_fit_report,
+    write_qq_csv,
 )
 from .textio import read_text, write_json
 from .trace import SampleTrace, read_trace, write_trace
@@ -103,11 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _read_config_file(path) -> dict:
@@ -269,10 +264,10 @@ def cmd_fit_tail(args) -> int:
             comparators = comparators or {f.family: f for f in fit_comparators(values)}
             fitted = comparators[family]
         write_fit_report(fitted, out / f"fit_{family}.json", meta)
-        sample = _write_qq(qq_points(fitted, values), out / f"qq_{family}_full.csv", sample)
+        sample = write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv", sample)
         if fitted.threshold is not None:
-            _write_qq(qq_points(fitted, values, upper_tail_only=True),
-                      out / f"qq_{family}_tail.csv", sample)
+            write_qq_csv(qq_points(fitted, values, upper_tail_only=True),
+                         out / f"qq_{family}_tail.csv", sample)
         write_density_overlay(fitted, values, out / f"density_{family}.csv")
         print(f"fit {family}: {json.dumps(fitted.params, sort_keys=True)}")
     return 0
@@ -422,9 +417,6 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 4
-    except DesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -34,12 +34,7 @@ def _philox_state(w0: int, w1: int) -> dict:
 
 def stream(seed: int, domain: int, index: int) -> np.random.Generator:
     """Return a fresh Generator for stream (seed, domain, index)."""
-    # Philox(key=...) still gathers OS entropy for an unused seed sequence,
-    # which dominates construction cost; seeding with 0 and setting the
-    # whole state gives the identical stream without the entropy call.
-    bg = np.random.Philox(seed=0)
-    bg.state = _philox_state(*_key(seed, domain, index))
-    return np.random.Generator(bg)
+    return StreamDealer(seed, domain).rng(index)
 
 
 class StreamDealer:
@@ -54,6 +49,9 @@ class StreamDealer:
         w0, _ = _key(seed, domain, 0)
         self._domain = domain
         self._state = _philox_state(w0, 0)
+        # Philox(key=...) still gathers OS entropy for an unused seed sequence,
+        # which dominates construction cost; seeding with 0 and setting the
+        # whole state gives the identical stream without the entropy call.
         self._bg = np.random.Philox(seed=0)
         self._rng = np.random.Generator(self._bg)
 

@@ -6,8 +6,8 @@ below the threshold), and a Weibull whose likelihood treats everything
 below the threshold as left-censored at it.  Plain Weibull and Log-Normal
 fits over the whole sample serve as comparators.  Objective values can be
 negative; when a sample reaches zero or below, positive-support families
-are fitted on data shifted by min(x) - 1e-6 and the shift is stored and
-inverted on evaluation.
+are fitted on data shifted by min(x) - 1e-6 (or by a relative step), and
+the shift is stored and inverted on evaluation.
 """
 
 import logging
@@ -484,7 +484,10 @@ def fit_gpd_pot(values, threshold_quantile: float = 0.9) -> GpdFit:
 
 def _exp_ratio(y: float) -> float:
     """y / expm1(y), with its limit 1 at y = 0."""
-    return y / math.expm1(y) if y > 0 else 1.0
+    try:
+        return y / math.expm1(y) if y > 0 else 1.0
+    except OverflowError:  # expm1 overflows past y = log(max float)
+        return y * math.exp(-y) / -math.expm1(-y)
 
 
 def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
@@ -520,6 +523,10 @@ def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibull
     shift = _support_shift(x)
     xs = x - shift
     thr = float(np.quantile(xs, threshold_quantile))
+    if thr == 0.0:  # |min| >= 2**34 absorbed the margin (shift == min), uncensored
+        shift *= 1.0 + 2.0**-40
+        xs = x - shift
+        thr = float(np.quantile(xs, threshold_quantile))
     nonc = xs[xs >= thr]
     n1 = nonc.size
     n_cens = int(xs.size - n1)
@@ -672,14 +679,10 @@ def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
     })
 
 
-def write_qq_csv(points: np.ndarray, path) -> None:
-    _write_qq(points, path, None)
-
-
-def _write_qq(points: np.ndarray, path, sample):
-    """write_qq_csv; returns sample, or (empirical column, its cells) when
-    sample is None.  fit-tail passes the return to each later write of the
-    same sample, whose empirical columns are all suffixes of the first:
+def write_qq_csv(points: np.ndarray, path, sample=None):
+    """CSV of QQ points; returns sample, or (empirical column, its cells)
+    when sample is None.  fit-tail passes the return to each later write of
+    the same sample, whose empirical columns are all suffixes of the first:
     those cells are reused, and a theoretical value is formatted only where
     its bits differ from the empirical value beside it."""
     theo, emp = points.T

@@ -74,9 +74,6 @@ class SampleTrace:
         i = int(np.argmax(self.values))
         return int(self.iterations[i]), float(self.values[i]), tuple(self.index[i].tolist())
 
-    def __len__(self):
-        return self.n
-
 
 def write_trace(trace: SampleTrace, path) -> None:
     write_csv(path, TRACE_HEADER.split(","),

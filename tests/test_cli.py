@@ -78,6 +78,24 @@ class TestSolve:
         err = capsys.readouterr().err.strip()
         assert str(kern) in err and "\n" not in err
 
+    def test_non_finite_kernel_exits_two(self, tmp_path, capsys):
+        kern = tmp_path / "kernel.csv"
+        kern.write_text("1,0\n0,inf\n")
+        capsys.readouterr()
+        assert run("solve", "--kernel", kern, "--k", 1, "--method", "greedy",
+                   "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == (
+            f"input error: matrix contains non-finite entries: {kern}\n")
+
+    def test_dpp_on_too_few_positive_eigenvalues_exits_three(self, tmp_path, capsys):
+        kern = tmp_path / "kernel.csv"
+        np.savetxt(kern, np.diag([1.0, 1.0, 0.0, 0.0, 0.0]), delimiter=",")
+        capsys.readouterr()
+        assert run("solve", "--kernel", kern, "--k", 3, "--method", "dpp",
+                   "--out-dir", tmp_path / "o") == 3
+        assert capsys.readouterr().err == (
+            "numeric error: rank deficient: fewer than 3 positive eigenvalues\n")
+
     def test_dpp_solve_writes_trace_and_meta(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run("solve", "--kernel", gen_kernel(tmp_path, 10, 7), "--k", 3,
@@ -185,6 +203,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'k'" in err and "'two'" in err and str(cfg) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lines,message", [
+        ("k=2\nmethod=foo\n", "unknown method 'foo'"),
+        ("k 2\nmethod=greedy\n", "bad config line: 'k 2'"),
+    ], ids=["unknown-method", "no-equals-sign"])
+    def test_bad_config_line_exits_one(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kernel={gen_kernel(tmp_path, 6)}\n{lines}")
+        capsys.readouterr()
+        assert run("solve", "--config", cfg, "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_exchange_method(self, tmp_path, capsys):
         out = tmp_path / "ex"
@@ -393,6 +422,29 @@ class TestFitTail:
         assert run("fit-tail", "--trace", trace, "--families", "cauchy",
                    "--out-dir", tmp_path / "o") == 1
 
+    def test_threshold_quantile_of_one_exits_one(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=np.random.default_rng(0).normal(size=400))
+        capsys.readouterr()
+        assert run("fit-tail", "--trace", trace, "--threshold-quantile", 1.0,
+                   "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == "config error: threshold_quantile must lie in [0, 1)\n"
+
+    @pytest.mark.parametrize("values,flags", [
+        pytest.param(np.random.default_rng(0).gumbel(size=30_000),
+                     ["--threshold-quantile", 0.999, "--families", "cens_weibull"],
+                     id="near-total-censoring"),
+        pytest.param(np.random.default_rng(0).gumbel(size=400) * 7.6e11,
+                     ["--families", "weibull,lognormal,cens_weibull"],
+                     id="minimum-below-minus-2-to-the-34"),
+    ])
+    def test_extreme_samples_fit(self, tmp_path, capsys, values, flags):
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=values)
+        capsys.readouterr()
+        assert run("fit-tail", "--trace", trace, *flags, "--out-dir", tmp_path / "o") == 0
+        assert capsys.readouterr().err == ""
+
 
 def _without(key):
     return lambda payload: json.dumps({k: v for k, v in payload.items() if k != key})
@@ -439,6 +491,27 @@ class TestStoppingReportInputs:
         err = capsys.readouterr().err.strip()
         assert "finite" in err and "\n" not in err
         assert not (tmp_path / "report" / "stopping_gpd.csv").exists()
+
+    def test_fits_with_different_jitter_exit_one(self, inputs, tmp_path, capsys):
+        other = tmp_path / "seed1"
+        assert run("fit-tail", "--trace", inputs["trace"], "--families", "gpd", "--seed", 1,
+                   "--out-dir", other) == 0
+        capsys.readouterr()
+        assert run("stopping-report", "--trace", inputs["trace"],
+                   "--fits", f"{inputs['fit']},{other / 'fit_gpd.json'}",
+                   "--out-dir", tmp_path / "report") == 1
+        assert capsys.readouterr().err == "config error: fits disagree on jitter parameters\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (lambda i: ["--fits", ","], "at least one fit JSON is required"),
+        (lambda i: ["--fits", i["fit"], "--reference", 1.0, "--reference-json", i["reference"]],
+         "give either --reference or --reference-json"),
+    ], ids=["no-fit", "two-references"])
+    def test_bad_report_flags_exit_one(self, inputs, tmp_path, capsys, flags, message):
+        capsys.readouterr()
+        assert run("stopping-report", "--trace", inputs["trace"], *flags(inputs),
+                   "--out-dir", tmp_path / "report") == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("target,corrupt", [
         pytest.param("fit", None, id="fit-unreadable"),

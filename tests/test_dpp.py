@@ -124,6 +124,16 @@ class TestSampler:
         with pytest.raises(RankDeficientError, match="rank deficient"):
             sample_k_dpp(eig, 2, stream(0, DOMAIN_SEARCH, 0))
 
+    @pytest.mark.parametrize("k", [-1, 7])
+    def test_k_out_of_range(self, pd6, k):
+        with pytest.raises(ValueError, match=rf"^k must be in \[0, 6\], got {k}$"):
+            sample_k_dpp(eigendecompose(pd6), k, stream(0, DOMAIN_SEARCH, 0))
+
+    def test_table_for_another_kernel(self, pd6):
+        table = elementary_table(np.ones(5), 2)
+        with pytest.raises(ValueError, match="^elementary table does not match this eigensystem$"):
+            sample_k_dpp(eigendecompose(pd6), 2, stream(0, DOMAIN_SEARCH, 0), table)
+
     def test_deterministic_per_stream(self, pd6):
         eig = eigendecompose(pd6)
         a = [sample_k_dpp(eig, 3, stream(9, DOMAIN_SEARCH, i)).indices for i in range(50)]

@@ -262,6 +262,11 @@ class TestInterRecordTimes:
                 1 / (j + 1), rel=1e-8
             )
 
+    def test_first_gap_pmf_past_the_exact_limit(self):
+        # P(gap_1 = j) = 1/(j(j+1)), a difference of two quadrature tails once j > 65
+        for j in (66, 100, 1000):
+            assert inter_record_time_pmf(1, j) == pytest.approx(1 / (j * (j + 1)), rel=1e-12)
+
     def test_monotone_in_gap(self):
         for k in (1, 2, 4):
             vals = [inter_record_time_tail(k, j) for j in range(0, 120, 7)]

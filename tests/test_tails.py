@@ -1,9 +1,12 @@
+import dataclasses
 import json
 import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from dppdesign import (
@@ -20,7 +23,7 @@ from dppdesign import (
 )
 import dppdesign as d
 from dppdesign import tails
-from dppdesign.errors import NonConvergenceError
+from dppdesign.errors import DesignError, NonConvergenceError
 from dppdesign.tails import (
     _MIN_EXCEEDANCES,
     _XI_EXP_BRANCH,
@@ -387,6 +390,16 @@ class TestCompositeGpdCdf:
             s2 = model.survival(fit.mu + 2.0)
             assert s2 / s1 == pytest.approx(math.exp(-1.0 / fit.sigma), rel=1e-9)
 
+    def test_exponential_limit_formulas_at_zero_shape(self):
+        model = FittedCdf("gpd", {"mu": 1, "sigma": 2, "xi": 0.0, "p_tail": 0.1},
+                          threshold=1, sample=np.linspace(-3.0, 3.0, 101))
+        x = np.array([1.0, 1.5, 3.0, 10.0, 50.0])
+        survival = 0.1 * np.exp(-(x - 1) / 2)
+        assert np.array_equal(model.survival(x), survival)
+        assert np.array_equal(model.pdf(x), survival / 2)
+        q = np.array([0.91, 0.95, 0.99, 0.999999])
+        assert np.array_equal(model.quantile(q), 1 - 2 * np.log((1 - q) / 0.1))
+
     def test_pdf_integrates_to_one(self, fitted):
         model, fit, x = fitted
         p_tail = model.params["p_tail"]
@@ -685,3 +698,45 @@ class TestFittedCdfPlumbing:
         assert payload["family"] == "exponential"
         assert payload["parameters"]["rate"] == 1.0
         assert payload["trace_sha256"] == "abc"
+
+
+# ---------------------------------------------------------------------------
+# Every fit returns finite parameters or raises a DesignError
+
+_SHAPES = {
+    "gumbel": lambda rng, n: rng.gumbel(size=n),
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "exponential": lambda rng, n: rng.exponential(size=n),
+    "uniform": lambda rng, n: rng.random(n),
+    "pareto3": lambda rng, n: rng.pareto(3.0, n),
+    "jittered_integers": lambda rng, n: rng.integers(0, 20, n) + rng.normal(0.0, 1e-6, n),
+}
+
+
+def _fit_numbers(fit):
+    """Every number a fit reports: parameters, shift, threshold, loglik, counts."""
+    if isinstance(fit, list):
+        return [v for f in fit for v in [*f.params.values(), f.shift, f.loglik]]
+    return dataclasses.astuple(fit)
+
+
+@given(shape=st.sampled_from(sorted(_SHAPES)), n=st.integers(40, 20_000),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+       offset=st.sampled_from([0.0, 1e6, -1e6]),
+       q=st.sampled_from([0.0, 0.5, 0.9, 0.99, 0.999, 0.9995]))
+# near-total censoring: y / expm1(y) past expm1's overflow
+@example(shape="gumbel", n=100_000, seed=0, scale=1.0, offset=0.0, q=0.999)
+@example(shape="gumbel", n=100_000, seed=0, scale=1.0, offset=0.0, q=0.9995)
+# a minimum below -2**34, which absorbs the 1e-6 shift margin
+@example(shape="gumbel", n=400, seed=0, scale=7.6e11, offset=0.0, q=0.9)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_every_fit_returns_finite_parameters_or_a_design_error(shape, n, seed, scale,
+                                                                offset, q):
+    x = offset + scale * _SHAPES[shape](np.random.default_rng(seed), n)
+    for fit in (lambda: fit_gpd_pot(x, q), lambda: fit_censored_weibull(x, q),
+                lambda: fit_comparators(x)):
+        try:
+            numbers = _fit_numbers(fit())
+        except DesignError:
+            continue
+        assert all(math.isfinite(v) for v in numbers)

@@ -24,7 +24,6 @@ from dppdesign.stopping import (
 from dppdesign.tails import (
     FittedCdf,
     _check_values,
-    _write_qq,
     exponential_cdf,
     write_density_overlay,
     write_fit_report,
@@ -175,7 +174,7 @@ def test_qq_files_of_one_sample(tmp_path):
     sample = None
     for i, points in enumerate([full, tail, other, full[:0]]):
         old_write_qq_csv(points, tmp_path / f"old{i}")
-        sample = _write_qq(points, tmp_path / f"new{i}", sample)
+        sample = write_qq_csv(points, tmp_path / f"new{i}", sample)
         assert (tmp_path / f"new{i}").read_bytes() == (tmp_path / f"old{i}").read_bytes()
     assert np.shares_memory(sample[0], full) and sample[1] == [f"{v:.17g}" for v in srt]
 

@@ -217,10 +217,10 @@ def _jittered_trace(path, sigma, seed):
 def cmd_analyze_records(args) -> int:
     jittered = _jittered_trace(args.trace, args.sigma, args.seed)
     records = extract_records(jittered)
+    mean, var = expected_record_count(jittered.n)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_record_log(records, out / "records.csv")
-    mean, var = expected_record_count(jittered.n)
     write_json(out / "records_summary.json", {
         "observed_records": records.count,
         "expected_records": mean,
@@ -243,8 +243,6 @@ def cmd_fit_tail(args) -> int:
         raise ConfigError(f"unknown families: {unknown}")
     jittered = _jittered_trace(args.trace, args.sigma, args.seed)
     values = jittered.values
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     meta = {
         "trace_sha256": _sha256(args.trace),
         "jitter_sigma": args.sigma,
@@ -254,15 +252,20 @@ def cmd_fit_tail(args) -> int:
 
     q = args.threshold_quantile
     comparators = {}
-    sample = None  # the sorted sample and its cells, formatted once for every QQ file
+    fits = []  # every family is fitted before anything is written
     for family in families:
         if family == "gpd":
-            fitted = fitted_cdf_from_gpd(fit_gpd_pot(values, q), values)
+            fits.append(fitted_cdf_from_gpd(fit_gpd_pot(values, q), values))
         elif family == "cens_weibull":
-            fitted = fitted_cdf_from_cens_weibull(fit_censored_weibull(values, q))
+            fits.append(fitted_cdf_from_cens_weibull(fit_censored_weibull(values, q)))
         else:
             comparators = comparators or {f.family: f for f in fit_comparators(values)}
-            fitted = comparators[family]
+            fits.append(comparators[family])
+
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    sample = None  # the sorted sample and its cells, formatted once for every QQ file
+    for family, fitted in zip(families, fits):
         write_fit_report(fitted, out / f"fit_{family}.json", meta)
         sample = write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv", sample)
         if fitted.threshold is not None:
@@ -327,10 +330,11 @@ def cmd_stopping_report(args) -> int:
     if args.epsilons:
         epsilons = tuple(float(e) for e in args.epsilons.split(","))
 
+    reports = build_stopping_report(records, fits, epsilons, reference)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     seen = Counter()
-    for report in build_stopping_report(records, fits, epsilons, reference):
+    for report in reports:
         seen[report.model] += 1
         tag = report.model if seen[report.model] == 1 else f"{report.model}_{seen[report.model]}"
         write_stopping_csv(report, out / f"stopping_{tag}.csv")

@@ -12,7 +12,6 @@ the shift is stored and inverted on evaluation.
 
 import logging
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,12 +93,13 @@ class _Composite:
         """GPD survival (extra_power 0) or density (1) at the standardized
         exceedance of x, floored at zero."""
         mu, sigma, xi, _ = self.tail
-        z = np.maximum((x - mu) / sigma, 0.0)
-        if abs(xi) < _XI_EXP_BRANCH:
-            return np.exp(-z)
-        w = 1.0 + xi * z
-        power = -1.0 / xi - extra_power
-        return np.where(w > 0.0, np.power(np.maximum(w, 1e-300), power), 0.0)
+        with np.errstate(over="ignore"):  # an exceedance of z = inf has H(z) = 0
+            z = np.maximum((x - mu) / sigma, 0.0)
+            if abs(xi) < _XI_EXP_BRANCH:
+                return np.exp(-z)
+            w = 1.0 + xi * z
+            power = -1.0 / xi - extra_power
+            return np.where(w > 0.0, np.power(np.maximum(w, 1e-300), power), 0.0)
 
     def survival(self, x):
         body = 1.0 - np.searchsorted(self.sorted, x, side="right") / self.sorted.size
@@ -147,16 +147,17 @@ class _Weibull:
         self.shape, self.scale, self.shift = shape, scale, shift
 
     def survival(self, x):
-        z = np.maximum(x - self.shift, 0.0) / self.scale
-        return np.exp(-np.power(z, self.shape))
+        with np.errstate(over="ignore"):  # z**shape = inf has the limit exp(-inf) = 0
+            z = np.maximum(x - self.shift, 0.0) / self.scale
+            return np.exp(-np.power(z, self.shape))
 
     def pdf(self, x):
-        y = x - self.shift
+        y, surv = x - self.shift, self.survival(x)
         out = np.zeros_like(y)
-        pos = y > 0
+        pos = (y > 0) & (surv > 0)  # the density is 0 where the survival is
         z = y[pos] / self.scale
         k = self.shape
-        out[pos] = (k / self.scale) * np.power(z, k - 1.0) * np.exp(-np.power(z, k))
+        out[pos] = (k / self.scale) * np.power(z, k - 1.0) * surv[pos]
         return out
 
     def quantile(self, q):
@@ -172,10 +173,11 @@ class _LogNormal:
     def survival(self, x):
         from scipy import special
 
-        y = x - self.shift
-        out = np.ones_like(y)
-        pos = y > 0
-        out[pos] = special.ndtr(-(np.log(y[pos]) - self.mu) / self.sigma)
+        with np.errstate(over="ignore"):  # a standard score of +-inf has ndtr 0 or 1
+            y = x - self.shift
+            out = np.ones_like(y)
+            pos = y > 0
+            out[pos] = special.ndtr(-(np.log(y[pos]) - self.mu) / self.sigma)
         return out
 
     def pdf(self, x):
@@ -318,8 +320,8 @@ def sorted_quantile(srt: np.ndarray, q: float) -> float:
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
-# The fits' two Brent solvers are scipy's, ported step for step to plain
-# floats: the same bits, without loading scipy.optimize.
+# The fits' bounded Brent minimiser is scipy's, ported step for step to
+# plain floats: the same bits, without loading scipy.optimize.
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SOLVE_MESSAGES = ("Solution found.", "Maximum number of function calls reached.",
@@ -388,45 +390,6 @@ def _bounded_argmin(f, lo: float, hi: float) -> float:
     return x
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
-    """A root of f between xa and xb by scipy's brentq (its C code, rtol
-    4 eps); signs compare as C's signbit does.  f(xa) and f(xb) of one sign
-    raise ValueError, and maxiter iterations raise NonConvergenceError."""
-    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
-    if fpre == 0 or fcur == 0:
-        return xa if fpre == 0 else xb
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta = (xtol + 4 * sys.float_info.epsilon * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect, as C does where the step divides by zero
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                if den := dblk * dpre * (fblk - fpre):
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a good short step
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise NonConvergenceError(f"root solve failed to converge after {maxiter} iterations")
-
-
 def _gpd_profile(u: float, exc: np.ndarray, zmax: float):
     """(negative log-likelihood, sigma, xi) of the exceedances at
     theta = xi / sigma = expm1(u) / zmax, maximised over the shape.
@@ -493,7 +456,8 @@ def _exp_ratio(y: float) -> float:
 def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
     """log y solving n1 + n_cens y / expm1(y) = y R, with log_r = log R:
     the Weibull rate's score equation in y = (censor point / scale)^shape.
-    The root lies between log(n1 / R) and log((n1 + n_cens) / R)."""
+    The root lies between log(n1 / R) and log((n1 + n_cens) / R), where the
+    excess falls strictly: bisection narrows it to 1e-14 + 4 eps |log y|."""
     def excess(ly):
         return math.log(n1 + n_cens * _exp_ratio(math.exp(ly))) - ly - log_r
 
@@ -502,7 +466,11 @@ def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
         return b
     if excess(a) <= 0.0:
         return a
-    return _brentq(excess, a, b, xtol=1e-14)
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a < 1e-14 + 4.0 * math.ulp(1.0) * abs(mid):
+            return mid
+        a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
 
 
 def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppdesign
 from dppdesign import cli
@@ -18,6 +22,7 @@ from dppdesign.kernels import synth_kernel
 from dppdesign.search import GaConfig, genetic_search
 from dppdesign.stopping import POLICY_LOG_HEADER
 from dppdesign.trace import TRACE_HEADER, read_trace, write_trace
+from conftest import BYTE_EDITS, mutate
 from golden_pipeline import run_pipeline
 
 
@@ -425,10 +430,24 @@ class TestFitTail:
     def test_threshold_quantile_of_one_exits_one(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         write_toy_trace(trace, values=np.random.default_rng(0).normal(size=400))
+        out = tmp_path / "o"
         capsys.readouterr()
         assert run("fit-tail", "--trace", trace, "--threshold-quantile", 1.0,
-                   "--out-dir", tmp_path / "o") == 1
+                   "--out-dir", out) == 1
         assert capsys.readouterr().err == "config error: threshold_quantile must lie in [0, 1)\n"
+        assert not out.exists()
+
+    def test_a_failing_family_leaves_no_output(self, tmp_path, capsys):
+        # the weibull fit succeeds, and nothing of it is written when the gpd fit fails
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=np.random.default_rng(0).normal(size=35))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("fit-tail", "--trace", trace, "--families", "weibull,gpd",
+                   "--out-dir", out) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "budget error: 4 exceedances above threshold, need >= 30\n"
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("values,flags", [
         pytest.param(np.random.default_rng(0).gumbel(size=30_000),
@@ -490,7 +509,15 @@ class TestStoppingReportInputs:
                    flag, "--out-dir", tmp_path / "report") == 1
         err = capsys.readouterr().err.strip()
         assert "finite" in err and "\n" not in err
-        assert not (tmp_path / "report" / "stopping_gpd.csv").exists()
+        assert not (tmp_path / "report").exists()
+
+    def test_nan_epsilon_leaves_no_output(self, inputs, tmp_path, capsys):
+        capsys.readouterr()
+        assert run("stopping-report", "--trace", inputs["trace"], "--fits", inputs["fit"],
+                   "--epsilons", "nan", "--out-dir", tmp_path / "report") == 1
+        assert capsys.readouterr().err == (
+            "config error: epsilons must be finite and nonnegative, got (nan,)\n")
+        assert not (tmp_path / "report").exists()
 
     def test_fits_with_different_jitter_exit_one(self, inputs, tmp_path, capsys):
         other = tmp_path / "seed1"
@@ -597,6 +624,49 @@ class TestStoppingReportInputs:
         assert err.startswith(f"input error: cannot read {target} {bad}: ") and "\n" not in err
 
 
+@pytest.fixture(scope="module")
+def four_fits(tmp_path_factory):
+    """A 400-row trace and its fit JSON for each family."""
+    d = tmp_path_factory.mktemp("four_fits")
+    write_toy_trace(d / "trace.csv", values=np.random.default_rng(0).normal(size=400))
+    assert run("fit-tail", "--trace", d / "trace.csv", "--families", ",".join(FAMILIES),
+               "--out-dir", d) == 0
+    return d
+
+
+@pytest.mark.parametrize("family", ["weibull", "cens_weibull"])
+def test_huge_weibull_shape_reports_without_a_warning(four_fits, tmp_path, capsys, family):
+    # z**shape overflows above the scale: the survival there is exp(-inf) = 0
+    fit = tmp_path / "fit.json"
+    fit.write_text(_with_parameter("shape", 1.76e16)(
+        json.loads((four_fits / f"fit_{family}.json").read_text())))
+    capsys.readouterr()
+    assert run("stopping-report", "--trace", four_fits / "trace.csv", "--fits", fit,
+               "--out-dir", tmp_path / "report") == 0
+    assert capsys.readouterr().err == ""
+
+
+@given(family=st.sampled_from(FAMILIES), slot=st.integers(0, 4),
+       value=st.floats() | st.integers(-2**70, 2**70), edits=st.none() | BYTE_EDITS)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_mutated_fit_json_exits_with_one_line(four_fits, family, slot, value, edits):
+    """stopping-report on a fit JSON with one parameter or the shift set to
+    any number, then byte-edited or not, writes its report or exits 1 or 2
+    with one line, and never meets a dppdesign RuntimeWarning."""
+    payload = json.loads((four_fits / f"fit_{family}.json").read_text())
+    names = [*sorted(payload["parameters"]), "shift"]
+    name = names[slot % len(names)]
+    (payload if name == "shift" else payload["parameters"])[name] = value
+    fit = four_fits / "mutated.json"
+    fit.write_bytes(mutate(json.dumps(payload).encode(), edits or []))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run("stopping-report", "--trace", four_fits / "trace.csv", "--fits", fit,
+                   "--out-dir", four_fits / "report")
+    lines = err.getvalue().splitlines(keepends=True)
+    assert (code, lines) == (0, []) or (code in (1, 2) and len(lines) == 1), (code, lines)
+
+
 class TestPipeline:
     @pytest.fixture
     def solved(self, tmp_path, capsys):
@@ -681,7 +751,7 @@ class TestGoldenOutputs:
 
 # scipy is imported where a lognormal evaluation or a record-gap integral
 # calls it; the tail fits and the stopping-policy check run on numpy and
-# the package's own Brent solvers.  Loading scipy.optimize, scipy.special
+# the package's own solvers.  Loading scipy.optimize, scipy.special
 # and scipy.integrate with the package took about 0.4 s and 43 MB of peak
 # RSS per command (measured on a 2-core VM); these tests start fresh
 # interpreters, since the test modules themselves import scipy.
@@ -733,7 +803,7 @@ def test_commands_that_fit_nothing_leave_scipy_unloaded(tmp_path, capsys):
     assert (tmp_path / "6" / "stopping_cens_weibull.csv").exists()
 
 
-# The fits reach the package's bounded and root solvers, and the other
+# The fits reach the package's bounded solver and root bisection, and the other
 # calls reach a deferred scipy import: the lognormal's ndtr and ndtri, and
 # the quadrature beyond the exact gap limit (j = 100 > 64).
 _COLD_CALLS = """
@@ -751,14 +821,14 @@ results = (fit_gpd_pot(x), fit_censored_weibull(x),
 def test_cold_scipy_imports_give_the_same_floats(monkeypatch):
     from dppdesign import tails
 
-    brentq_calls = []
-    brentq = tails._brentq
-    monkeypatch.setattr(tails, "_brentq",
-                        lambda *a, **kw: brentq_calls.append(1) or brentq(*a, **kw))
+    root_calls = []
+    root = tails._censored_log_y
+    monkeypatch.setattr(tails, "_censored_log_y",
+                        lambda *a, **kw: root_calls.append(1) or root(*a, **kw))
     namespace = {}
     exec(_COLD_CALLS, namespace)
     monkeypatch.undo()
-    assert brentq_calls  # the sample reaches the censored fit's root solve
+    assert root_calls  # the sample reaches the censored fit's root solve
     out = _fresh_python(
         "import json, sys, dppdesign\n"
         "cold = not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"

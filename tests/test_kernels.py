@@ -17,7 +17,7 @@ from dppdesign import (
     save_kernel,
     synth_kernel,
 )
-from conftest import cofactor_det, random_pd_kernel
+from conftest import BYTE_EDITS, cofactor_det, mutate, random_pd_kernel
 
 
 class TestKernelMatrix:
@@ -249,3 +249,22 @@ class TestDesignSubset:
         assert sub.k == 2
         ref = log_det_submatrix(pd6, [1, 4])
         assert abs(sub.log_det - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_kernel(KernelMatrix(synth_kernel(4, 0.5, 1e-6, seed=0).entries,
+                             labels=["a", "b", "c", "d"]), d / "valid.csv")
+    return d
+
+
+@given(edits=BYTE_EDITS)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_mutated_kernel_is_loaded_or_an_input_error(fuzz_dir, edits):
+    path = fuzz_dir / "mutated.csv"
+    path.write_bytes(mutate((fuzz_dir / "valid.csv").read_bytes(), edits))
+    try:
+        load_kernel(path)
+    except InputFormatError:
+        pass

@@ -1,12 +1,12 @@
-"""The in-package Brent solvers against scipy, bit for bit.
+"""The in-package solvers against scipy.
 
-tails._fminbound ports scipy's bounded minimiser and tails._brentq its C
-brentq; scipy stays their oracle here.  Each solver meets at least 10^4
-seeded problems, and the three tail fits meet the same fits with
-scipy-backed solvers patched in.
+tails._fminbound ports scipy's bounded minimiser, the one ported solver,
+and meets it bit for bit on 10^4 seeded problems; the three tail fits meet
+the same fits with scipy's minimiser patched in.  The censored Weibull's
+rate equation is solved by bisection, which meets scipy's brentq within
+its tolerance on 10^4 seeded score equations.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -14,20 +14,12 @@ import pytest
 from scipy import optimize
 
 from dppdesign import fit_censored_weibull, fit_comparators, fit_gpd_pot, tails
-from dppdesign.errors import NonConvergenceError
 
 
 def scipy_fminbound(f, a, b, xatol, maxiter):
     res = optimize.minimize_scalar(f, bounds=(a, b), method="bounded",
                                    options={"xatol": xatol, "maxiter": maxiter})
     return float(res.x), res.nfev, res.status
-
-
-def scipy_brentq(f, xa, xb, xtol, maxiter=100):
-    try:
-        return optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)
-    except RuntimeError as exc:
-        raise NonConvergenceError(str(exc)) from None
 
 
 def _hex_result(x, nfev, status):
@@ -89,91 +81,37 @@ def test_bounded_minimiser_matches_scipy_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# Root solver
+# The censored Weibull's rate equation
 
 
-def _root_problem(rng):
-    """(f, xa, xb) with f(xa) and f(xb) of opposite signs or one of them 0."""
-    a = float(rng.uniform(-10.0, 10.0))
-    b = a + float(rng.choice([1e-6, rng.uniform(0.01, 30.0)]))
-    r = float(rng.choice([a, b, rng.uniform(a, b)]))
-    c = float(rng.uniform(0.01, 20.0))
-    kind = int(rng.integers(8))
-    if kind == 0:
-        def f(x):
-            return (x - r) * (1.0 + c * (x - r) ** 2)
-    elif kind == 1:
-        def f(x):
-            return math.tanh(c * (x - r))
-    elif kind == 2:
-        def f(x):
-            return math.exp(min(x, 700.0)) - math.exp(min(r, 700.0))
-    elif kind == 3:  # flat at the root
-        def f(x):
-            return (x - r) ** 3
-    elif kind == 4:  # a jump: bisection only
-        def f(x):
-            return -1.0 if x < r else 1.0
-    elif kind == 5:  # steps among a few levels: repeated function values
-        edges = np.sort(rng.uniform(a, b, size=5)).tolist()
-        levels = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=6).tolist()
+def _score_equation(n1, n_cens, log_r):
+    """(excess, a, b) of _censored_log_y's equation and bracket."""
+    def excess(ly):
+        return math.log(n1 + n_cens * tails._exp_ratio(math.exp(ly))) - ly - log_r
+    return excess, math.log(n1) - log_r, math.log(n1 + n_cens) - log_r
 
-        def f(x):
-            return levels[bisect.bisect(edges, x)]
-    elif kind == 6:  # tiny values: the extrapolation's denominator underflows to 0
-        def f(x):
-            return 1e-300 * (x - r) * (1.0 + c * (x - r) ** 2)
-    else:  # the censored Weibull's score equation, where R >= n1
+
+def test_censored_root_matches_scipy_within_its_tolerance():
+    rng = np.random.default_rng(21)
+    for _ in range(10_000):  # the fit's equations, where R >= n1
         n1 = int(rng.integers(30, 5000))
         n_cens = int(rng.integers(1, 20 * n1))
         log_r = math.log(n1) + float(rng.uniform(0.0, 10.0))
-
-        def f(ly):
-            return math.log(n1 + n_cens * tails._exp_ratio(math.exp(ly))) - ly - log_r
-        a, b = math.log(n1) - log_r, math.log(n1 + n_cens) - log_r
-    if rng.random() < 0.5:  # reversed brackets
-        a, b = b, a
-    if f(a) == 0 or f(b) == 0 or math.copysign(1.0, f(a)) != math.copysign(1.0, f(b)):
-        return f, a, b
-    return None
+        excess, a, b = _score_equation(n1, n_cens, log_r)
+        want = optimize.brentq(excess, a, b, xtol=1e-14)
+        got = tails._censored_log_y(n1, n_cens, log_r)
+        assert a <= got <= b
+        assert abs(got - want) <= 2.0 * (1e-14 + 4.0 * math.ulp(1.0) * abs(want)), (n1, n_cens)
 
 
-def _solve(solver, f, a, b, xtol, maxiter):
-    try:
-        return solver(f, a, b, xtol, maxiter).hex()
-    except NonConvergenceError:
-        return "unconverged"
-
-
-def test_root_solver_matches_scipy_bitwise():
-    rng = np.random.default_rng(21)
-    seen, ends, unconverged = 0, 0, 0
-    while seen < 10_000:
-        problem = _root_problem(rng)
-        if problem is None:
-            continue
-        f, a, b = problem
-        seen += 1
-        ends += f(a) == 0 or f(b) == 0
-        xtol = float(rng.choice([1e-14, 2e-12, 1e-8]))
-        maxiter = int(rng.integers(1, 10)) if rng.random() < 0.1 else 100
-        want = _solve(scipy_brentq, f, a, b, xtol, maxiter)
-        unconverged += want == "unconverged"
-        assert _solve(tails._brentq, f, a, b, xtol, maxiter) == want, (a, b, xtol, maxiter)
-    assert ends > 100 and unconverged > 100
-
-
-def test_root_solver_reports_non_convergence():
-    def f(x):
-        return math.exp(x) - 2.0
-
-    assert tails._brentq(f, 0.0, 1.0, 1e-14) == optimize.brentq(f, 0.0, 1.0, xtol=1e-14)
-    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
-        optimize.brentq(f, 0.0, 1.0, xtol=1e-14, maxiter=2)
-    with pytest.raises(NonConvergenceError, match="after 2 iterations"):
-        tails._brentq(f, 0.0, 1.0, 1e-14, maxiter=2)
-    with pytest.raises(ValueError, match="different signs"):
-        tails._brentq(f, 1.0, 2.0, 1e-14)
+@pytest.mark.parametrize("n1,n_cens,log_r,end", [
+    (30, 1, 700.0, "b"),  # y = (n1 + n_cens) / R underflows: y / expm1(y) is 1
+    (1000, 1, math.log(1000 / 800), "a"),  # y = n1 / R = 800: y / expm1(y) is 0
+])
+def test_censored_root_returns_a_solved_end_exactly(n1, n_cens, log_r, end):
+    excess, a, b = _score_equation(n1, n_cens, log_r)
+    assert excess(b) >= 0.0 if end == "b" else excess(a) <= 0.0
+    assert tails._censored_log_y(n1, n_cens, log_r) == (b if end == "b" else a)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +151,5 @@ def test_fits_equal_the_scipy_backed_fits(monkeypatch):
     samples = [_sample(rng) for _ in range(1000)]
     ported = [_fits(x, q) for x, q in samples]
     monkeypatch.setattr(tails, "_fminbound", scipy_fminbound)
-    monkeypatch.setattr(tails, "_brentq", scipy_brentq)
     assert [_fits(x, q) for x, q in samples] == ported
     assert sum(isinstance(f, str) for fits in ported for f in fits) > 2700

@@ -575,6 +575,40 @@ class TestFittedCdfPlumbing:
         for q in (0.0, top):
             assert model.quantile(q) == np.quantile(x, q, method="inverted_cdf")
 
+    @pytest.mark.parametrize("family,params,shift,x,survival", [
+        ("weibull", {"shape": 1.76e16, "scale": 1.0}, 0.0, [0.5, 1.01], [1.0, 0.0]),
+        ("weibull", {"shape": 2.0, "scale": 1e-300}, 0.0, [1e10], [0.0]),
+        ("weibull", {"shape": 2.0, "scale": 1.0}, -1e308, [1e308], [0.0]),
+        ("lognormal", {"mu": 1.7976931348623157e308, "sigma": 0.5}, 0.0, [2.0], [1.0]),
+        ("lognormal", {"mu": 0.0, "sigma": 1e-320}, 0.0, [0.5, 2.0], [1.0, 0.0]),
+    ])
+    def test_survival_overflow_gives_its_limit(self, family, params, shift, x, survival):
+        # dppdesign's RuntimeWarnings are errors in this suite
+        assert FittedCdf(family, params, shift=shift).survival(x).tolist() == survival
+
+    @pytest.mark.parametrize("xi", [0.0, 0.3, -0.5])
+    def test_gpd_tail_of_a_tiny_sigma_is_zero(self, xi):
+        x = np.linspace(0.0, 1.0, 101)
+        model = FittedCdf("gpd", {"mu": 0.5, "sigma": 1e-320, "xi": xi, "p_tail": 0.1},
+                          sample=x)
+        assert model.survival(1.0) == 0.0 and model.pdf(1.0) == 0.0
+
+    def test_weibull_pdf_is_zero_where_z_to_the_k_overflows(self):
+        model = FittedCdf("weibull", {"shape": 1.6e5, "scale": 1.0})
+        assert model.pdf(1.01) == 0.0
+        assert model.pdf([0.5, 1.0, 2.0]).tolist() == [0.0, 1.6e5 * math.exp(-1.0), 0.0]
+
+    def test_weibull_pdf_keeps_its_bits_where_finite(self):
+        k, scale, shift = 2.7, 1.3, -0.4
+        x = np.linspace(-1.0, 40.0, 4001)
+        y = x - shift
+        pos = y > 0
+        z = y[pos] / scale
+        want = np.zeros_like(y)
+        want[pos] = (k / scale) * np.power(z, k - 1.0) * np.exp(-np.power(z, k))
+        got = FittedCdf("weibull", {"shape": k, "scale": scale}, shift=shift).pdf(x)
+        assert np.array_equal(got, want)
+
     def test_empirical_survival_and_pdf(self):
         x = np.array([3.0, 1.0, 2.0, 2.0, 5.0])
         model = empirical_cdf(x)

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import BYTE_EDITS, mutate
 from dppdesign.errors import InputFormatError
 from dppdesign.kernels import synth_kernel
 from dppdesign.search import dpp_search
@@ -289,3 +291,22 @@ def test_best_is_a_tuple_of_ints():
     it, value, subset = trace.best()
     assert (it, value, subset) == (2, 2.0, (2, 3))
     assert all(type(i) is int for i in subset)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    trace = dpp_search(synth_kernel(12, 0.5, 1e-6, seed=0), 4, 30, seed=0)
+    write_trace(trace, d / "valid.csv")
+    return d
+
+
+@given(edits=BYTE_EDITS)
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_mutated_trace_is_read_or_an_input_error(fuzz_dir, edits):
+    path = fuzz_dir / "mutated.csv"
+    path.write_bytes(mutate((fuzz_dir / "valid.csv").read_bytes(), edits))
+    try:
+        read_trace(path)
+    except InputFormatError:
+        pass

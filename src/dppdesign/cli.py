@@ -241,16 +241,18 @@ def cmd_fit_tail(args) -> int:
     unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ConfigError(f"unknown families: {unknown}")
+    q = args.threshold_quantile
+    if not 0.0 <= q < 1.0:  # checked for every family, though only two fits read it
+        raise ConfigError("threshold_quantile must lie in [0, 1)")
     jittered = _jittered_trace(args.trace, args.sigma, args.seed)
     values = jittered.values
     meta = {
         "trace_sha256": _sha256(args.trace),
         "jitter_sigma": args.sigma,
         "jitter_seed": args.seed,
-        "threshold_quantile": args.threshold_quantile,
+        "threshold_quantile": q,
     }
 
-    q = args.threshold_quantile
     comparators = {}
     fits = []  # every family is fitted before anything is written
     for family in families:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# scipy is imported where it is called (special for the lognormal here,
-# integrate in records.py), not at module load: it costs about 0.4 s and
-# 43 MB at start-up, and the fits never use it.
+# scipy is imported where it is called (special for the lognormal survival
+# here, integrate in records.py), not at module load: it costs about 0.4 s
+# and 43 MB at start-up, and the fits and QQ exports never use it.
 
 from .errors import (
     DegenerateSampleError,
@@ -191,9 +191,66 @@ class _LogNormal:
         return out
 
     def quantile(self, q):
-        from scipy import special
+        return self.shift + np.exp(self.mu + self.sigma * _ndtri(q))
 
-        return self.shift + np.exp(self.mu + self.sigma * special.ndtri(q))
+
+# Cephes' ndtri, the algorithm behind scipy.special.ndtri, on numpy: the
+# rational approximations in y - 1/2 for exp(-2) < y < 1 - exp(-2), and in
+# 1/x with x = sqrt(-2 log y) on either tail, one set for x < 8 and one
+# beyond.  Coefficients run from the highest power down.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _horner(x, coef):
+    # A leading 1.0 gives Cephes' p1evl: 1.0 * x is exact.
+    out = coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _libm_log(a):
+    # math.log is the C library's log, as in scipy; numpy's log differs in
+    # the last bit on some arguments.
+    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
+
+
+def _ndtri(q):
+    """scipy.special.ndtri bit for bit on a float array of levels in
+    [0, 1]: -inf at 0, +inf at 1."""
+    out = np.where(q == 0.0, -np.inf, np.inf)
+    upper = q > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - q, q)
+    mid = y > _EXP_M2
+    v = y[mid] - 0.5
+    v2 = v * v
+    out[mid] = (v + v * (v2 * _horner(v2, _NDTRI_P0) / _horner(v2, _NDTRI_Q0))) * _S2PI
+    tail = (y > 0.0) & ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _horner(z, _NDTRI_P1) / _horner(z, _NDTRI_Q1),
+                  z * _horner(z, _NDTRI_P2) / _horner(z, _NDTRI_Q2))
+    x = x - _libm_log(x) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 # family -> (parameters that must be positive, evaluator built from
@@ -650,13 +707,17 @@ def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
 def write_qq_csv(points: np.ndarray, path, sample=None):
     """CSV of QQ points; returns sample, or (empirical column, its cells)
     when sample is None.  fit-tail passes the return to each later write of
-    the same sample, whose empirical columns are all suffixes of the first:
-    those cells are reused, and a theoretical value is formatted only where
-    its bits differ from the empirical value beside it."""
+    the same sample: an empirical column whose bits (not values, since -0.0
+    == 0.0 but prints as -0) equal the sample's last values reuses their
+    cells, so each is formatted once.  The theoretical column is formatted
+    block by block as it is written."""
     theo, emp = points.T
     sample = sample or (emp, float_cells(emp))
-    write_csv(path, ("theoretical", "empirical"),
-              [Cells(float_cells(theo, sample)), Cells(float_cells(emp, sample))])
+    first, cells = sample
+    start = first.size - emp.size
+    if start < 0 or not np.array_equal(first[start:].view(np.int64), emp.view(np.int64)):
+        start, cells = 0, float_cells(emp)
+    write_csv(path, ("theoretical", "empirical"), [theo, Cells(cells[start:])])
     return sample
 
 

@@ -2,7 +2,7 @@
 one dump for every report JSON."""
 
 import json
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -15,27 +15,15 @@ _BLOCK_ROWS = 512  # rows filled into one printf template
 
 
 class Cells:
-    """A column of cells already formatted, written as they are."""
+    """A column of cells already formatted, written as they are (a list)."""
 
     def __init__(self, cells):
         self.cells = cells
 
 
-def float_cells(x, reuse=None) -> list:
-    """The %.17g cells of a 1-d float array.  With reuse = (y, cells of y),
-    y at least as long as x, x is matched against y's last x.size values:
-    where the bits agree the cell of y is reused, and only the other values
-    are formatted (bits, not ==, since -0.0 == 0.0 but prints as -0)."""
-    fmt = _FORMATS["f"].__mod__
-    if reuse is None:
-        return list(map(fmt, x.tolist()))
-    y, cells = reuse
-    start = y.size - x.size
-    out = cells[start:]
-    idx = np.flatnonzero(x.view(np.int64) != y[start:].view(np.int64)).tolist()
-    for i, v in zip(idx, x[idx].tolist()):
-        out[i] = fmt(v)
-    return out
+def float_cells(x) -> list:
+    """The %.17g cells of a 1-d float array."""
+    return [format(v, ".17g") for v in x.tolist()]
 
 
 def read_text(path, what) -> str:
@@ -66,30 +54,32 @@ def _cell(x) -> str:
     return "" if x is None else format(x, "d")
 
 
-def _column(c):
-    """(printf conversions, value sequences) of one column: Cells as they
-    are, a numeric numpy column by its dtype, anything else cell by cell."""
+def _column(c, rows: slice):
+    """(printf conversions, value sequences) of one column's rows: Cells as
+    they are, a numeric numpy column by its dtype, anything else cell by
+    cell."""
     if isinstance(c, Cells):
-        return "%s", [c.cells]
+        return "%s", [c.cells[rows]]
     if isinstance(c, np.ndarray) and c.dtype.kind in _FORMATS:
         if c.ndim == 2:
-            return ";".join([_FORMATS[c.dtype.kind]] * c.shape[1]), [v.tolist() for v in c.T]
-        return _FORMATS[c.dtype.kind], [c.tolist()]
-    return "%s", [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c)]
+            return ";".join([_FORMATS[c.dtype.kind]] * c.shape[1]), c[rows].T.tolist()
+        return _FORMATS[c.dtype.kind], [c[rows].tolist()]
+    return "%s", [map(_cell, c[rows].tolist() if isinstance(c, np.ndarray) else c[rows])]
 
 
 def write_csv(path, header, columns) -> None:
     """Header row, then one row per position of the equal-length columns
-    (sequences, numpy arrays, or 2-D integer arrays written as ;-joined
-    subsets), filled into one printf template per _BLOCK_ROWS rows."""
-    specs, values = zip(*map(_column, columns))
-    sequences = [v for vs in values for v in vs]
-    template = ",".join(specs) + "\n"
-    flat = chain.from_iterable(zip(*sequences))
+    (sequences, numpy arrays, 2-D integer arrays written as ;-joined
+    subsets, or Cells), converted and filled into one printf template per
+    _BLOCK_ROWS rows."""
+    n = min(len(c.cells if isinstance(c, Cells) else c) for c in columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(map(_quote, header)) + "\n")
-        while block := tuple(islice(flat, _BLOCK_ROWS * len(sequences))):
-            fh.write(template * (len(block) // len(sequences)) % block)
+        for start in range(0, n, _BLOCK_ROWS):
+            specs, values = zip(*(_column(c, slice(start, start + _BLOCK_ROWS))
+                                  for c in columns))
+            block = tuple(chain.from_iterable(zip(*chain.from_iterable(values))))
+            fh.write((",".join(specs) + "\n") * min(_BLOCK_ROWS, n - start) % block)
 
 
 def write_json(path, payload) -> None:

@@ -16,6 +16,7 @@ from .textio import read_text, write_csv
 TRACE_HEADER = "iteration,log_det,is_record,subset"
 # Every byte but , ; and newline: deleting them leaves each line's skeleton.
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",;\n")
+_BLOCK_LINES = 1024  # trace lines parsed by one numpy pass
 
 
 def record_flags(values: np.ndarray) -> np.ndarray:
@@ -89,11 +90,64 @@ def _load_rows(text: str, k: int) -> np.ndarray:
                       delimiter=",", comments=None, ndmin=1)
 
 
+def _read_blocks(body: str, k: int):
+    """(iterations, values, index) of the rows, one numpy pass per block of
+    _BLOCK_LINES lines into arrays sized by the line count; None where a
+    block fails numpy's pass or holds a nonblank line other than three
+    commas, then k - 1 semicolons, between its cells."""
+    skeleton = [b",,," + b";" * (k - 1)]
+    size = body.count("\n") + 1
+    columns = np.empty(size, np.int64), np.empty(size), np.empty((size, k), np.int64)
+    m = end = 0
+    while end < len(body):
+        start = end
+        for _ in range(_BLOCK_LINES):
+            end = body.find("\n", end) + 1
+            if not end:
+                end = len(body)
+                break
+        block = body[start:end]
+        if not block.strip("\n"):
+            continue  # blank lines only: numpy would read no rows, and warn
+        try:
+            rows = _load_rows(block, k)
+        except ValueError:
+            return None
+        if block.encode().translate(None, _NOT_SEPARATORS).split() != skeleton * rows.size:
+            return None
+        for column, name in zip(columns, ("iteration", "log_det", "index")):
+            column[m:m + rows.size] = rows[name]
+        m += rows.size
+    return tuple(column[:m] for column in columns)
+
+
+def _diagnose(body: str, k: int, first_line: int, path):
+    """The whole-body reading behind a failed block: each line is checked
+    alone, since numpy's row numbers count from 0 or 1 by the kind of error
+    and count index cells as columns, and the first malformed one is named.
+    A body with none is read in one numpy pass."""
+    for number, line in enumerate(body.split("\n"), start=first_line):
+        fields = line.split(",")
+        cells = fields[-1].count(";") + 1
+        reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
+                  f"expected {k} subset indices as in the first row, found {cells}"
+                  if cells != k else None)
+        try:
+            if line and not reason:
+                _load_rows(line, k)
+        except ValueError as exc:
+            reason = str(exc).partition(" at row ")[0]
+        if line and reason:
+            raise InputFormatError(f"malformed trace row in {path}, line {number}: {reason}")
+    rows = _load_rows(body, k)
+    return tuple(np.ascontiguousarray(rows[name]) for name in ("iteration", "log_det", "index"))
+
+
 def read_trace(path) -> SampleTrace:
     text = read_text(path, "trace")
     header, _, body = text.lstrip().partition("\n")
-    # The body starts on the line after the header.  The whole text is
-    # let go before the numpy pass, so that it does not add to its peak.
+    # The body starts on the line after the header.  The whole text is let
+    # go before the numpy passes, so that it does not add to their peak.
     first_line = text.count("\n", 0, len(text) - len(body)) + 1
     del text
     if header.strip() != TRACE_HEADER:
@@ -101,44 +155,19 @@ def read_trace(path) -> SampleTrace:
     first = body.lstrip().partition("\n")[0]
     if not first:
         raise InputFormatError(f"empty trace: {path}")
-    # One numpy pass over all rows, with k read off the first row's subset.
-    # It reads a semicolon as a comma, so each nonblank line must also hold
-    # three commas, then k - 1 semicolons, and no other separators.  The
-    # skeleton is built after the pass, so that it does not add to its peak.
+    # k is read off the first row's subset.  numpy reads a semicolon as a
+    # comma, so each nonblank line must also hold three commas, then k - 1
+    # semicolons, and no other separators.
     k = first.rpartition(",")[2].count(";") + 1
-    try:
-        rows = _load_rows(body, k)
-    except ValueError:
-        rows = None
-    if rows is None or (body.encode().translate(None, _NOT_SEPARATORS).split()
-                        != [b",,," + b";" * (k - 1)] * rows.size):
-        # numpy's row numbers count from 0 or 1 by the kind of error, and count
-        # index cells as columns, so each line is checked alone to name it.
-        for number, line in enumerate(body.split("\n"), start=first_line):
-            fields = line.split(",")
-            cells = fields[-1].count(";") + 1
-            reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
-                      f"expected {k} subset indices as in the first row, found {cells}"
-                      if cells != k else None)
-            try:
-                if line and not reason and rows is None:
-                    _load_rows(line, k)
-            except ValueError as exc:
-                reason = str(exc).partition(" at row ")[0]
-            if line and reason:
-                raise InputFormatError(
-                    f"malformed trace row in {path}, line {number}: {reason}")
-        if rows is None:
-            rows = _load_rows(body, k)
-    values = np.ascontiguousarray(rows["log_det"])
+    iterations, values, index = _read_blocks(body, k) or _diagnose(body, k, first_line, path)
+    del body
     if not np.all(np.isfinite(values)):
         raise InputFormatError(f"trace log_det values must be finite: {path}")
-    index = np.ascontiguousarray(rows["index"])
-    if index.min() < 0 or np.any(np.diff(index, axis=1) <= 0):
+    if index.min() < 0 or np.any(index[:, 1:] <= index[:, :-1]):
         raise InputFormatError(
             f"trace subsets must hold nonnegative, strictly increasing indices: {path}"
         )
     try:
-        return SampleTrace(np.ascontiguousarray(rows["iteration"]), values, index)
+        return SampleTrace(iterations, values, index)
     except ValueError as exc:
         raise InputFormatError(f"{exc}: {path}") from None

@@ -437,6 +437,21 @@ class TestFitTail:
         assert capsys.readouterr().err == "config error: threshold_quantile must lie in [0, 1)\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["weibull", "lognormal"])
+    @pytest.mark.parametrize("level", ["1.0", "nan"])
+    def test_threshold_level_is_checked_for_every_family(self, tmp_path, capsys, family,
+                                                         level):
+        # the comparators do not read the level, and still refuse one out of range
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=np.random.default_rng(0).normal(size=400))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run("fit-tail", "--trace", trace, "--families", family,
+                   "--threshold-quantile", level, "--out-dir", out) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: threshold_quantile must lie in [0, 1)\n"
+        assert captured.out == "" and not out.exists()
+
     def test_a_failing_family_leaves_no_output(self, tmp_path, capsys):
         # the weibull fit succeeds, and nothing of it is written when the gpd fit fails
         trace = tmp_path / "trace.csv"
@@ -803,9 +818,10 @@ def test_commands_that_fit_nothing_leave_scipy_unloaded(tmp_path, capsys):
     assert (tmp_path / "6" / "stopping_cens_weibull.csv").exists()
 
 
-# The fits reach the package's bounded solver and root bisection, and the other
-# calls reach a deferred scipy import: the lognormal's ndtr and ndtri, and
-# the quadrature beyond the exact gap limit (j = 100 > 64).
+# The fits reach the package's bounded solver and root bisection, the
+# lognormal's quantile the package's ndtri, and the other calls reach a
+# deferred scipy import: the lognormal survival's ndtr, and the quadrature
+# beyond the exact gap limit (j = 100 > 64).
 _COLD_CALLS = """
 import numpy as np
 from dppdesign import FittedCdf, fit_censored_weibull, fit_gpd_pot, inter_record_time_tail
@@ -873,13 +889,20 @@ def test_fits_and_policy_checks_leave_scipy_unloaded(tmp_path):
     assert sorted(p.name for p in (tmp_path / "report").glob("stopping_*.csv")) == [
         f"stopping_{fam}.csv" for fam in sorted(families)]
 
-    out = _fresh_python(
-        "import json, sys\n"
-        "from dppdesign.cli import main\n"
-        "print(main(sys.argv[1:]))\n" + _LIST_SCIPY,
-        "fit-tail", "--trace", tmp_path / "full" / "trace.csv", "--families", "lognormal",
-        "--out-dir", tmp_path / "lognormal",
-    ).splitlines()
+    # fit-tail with its default families, the lognormal's QQ export included,
+    # loads no scipy; a lognormal survival in the stopping report loads
+    # scipy.special, and nothing of scipy.optimize.
+    command = ("import json, sys\n"
+               "from dppdesign.cli import main\n"
+               "print(main(sys.argv[1:]))\n" + _LIST_SCIPY)
+    out = _fresh_python(command, "fit-tail", "--trace", tmp_path / "full" / "trace.csv",
+                        "--out-dir", tmp_path / "default").splitlines()
+    assert out[-2] == "0" and json.loads(out[-1]) == []
+    assert sorted(p.name for p in (tmp_path / "default").glob("fit_*.json")) == [
+        f"fit_{fam}.json" for fam in sorted(FAMILIES)]
+    out = _fresh_python(command, "stopping-report", "--trace", tmp_path / "full" / "trace.csv",
+                        "--fits", tmp_path / "default" / "fit_lognormal.json",
+                        "--out-dir", tmp_path / "lognormal").splitlines()
     assert out[-2] == "0"
     loaded = json.loads(out[-1])
     assert "scipy.special" in loaded and not any(m.startswith("scipy.optimize") for m in loaded)

@@ -4,14 +4,15 @@ tails._fminbound ports scipy's bounded minimiser, the one ported solver,
 and meets it bit for bit on 10^4 seeded problems; the three tail fits meet
 the same fits with scipy's minimiser patched in.  The censored Weibull's
 rate equation is solved by bisection, which meets scipy's brentq within
-its tolerance on 10^4 seeded score equations.
+its tolerance on 10^4 seeded score equations.  tails._ndtri ports Cephes'
+ndtri, scipy.special's normal quantile, and meets it bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from dppdesign import fit_censored_weibull, fit_comparators, fit_gpd_pot, tails
 
@@ -112,6 +113,30 @@ def test_censored_root_returns_a_solved_end_exactly(n1, n_cens, log_r, end):
     excess, a, b = _score_equation(n1, n_cens, log_r)
     assert excess(b) >= 0.0 if end == "b" else excess(a) <= 0.0
     assert tails._censored_log_y(n1, n_cens, log_r) == (b if end == "b" else a)
+
+
+# ---------------------------------------------------------------------------
+# Normal quantile
+
+
+def test_normal_quantile_matches_scipy_bitwise():
+    rng = np.random.default_rng(23)
+    m, e2 = 50_000, math.exp(-2.0)
+    # x = sqrt(-2 log y) = 8, where the tail changes coefficients, at y = exp(-32)
+    edges = [e2, 1.0 - e2, math.exp(-32.0), 1.0 - math.exp(-32.0)]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    levels = np.concatenate([
+        [0.0, 1.0, 5e-324, 0.5, *edges, *near],
+        (np.arange(1, m + 1) - 0.5) / m,  # the QQ export's plotting positions
+        rng.random(600_000),
+        np.exp(-rng.uniform(0.0, 745.0, 200_000)),  # the lower tail, to the subnormals
+        -np.expm1(-rng.uniform(0.0, 37.0, 100_000)),  # the upper tail
+        *(e + min(e, 1.0 - e) * rng.uniform(-1e-3, 1e-3, 25_000) for e in edges),
+    ])
+    assert levels.size >= 10**6 and np.all((levels >= 0.0) & (levels <= 1.0))
+    got, want = tails._ndtri(levels), special.ndtri(levels)
+    assert got.tobytes() == want.tobytes()
+    assert got[:2].tolist() == [-math.inf, math.inf]
 
 
 # ---------------------------------------------------------------------------

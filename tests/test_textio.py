@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from dppdesign import tails
 from dppdesign.records import RECORD_LOG_HEADER, RecordSequence, write_record_log
 from dppdesign.stopping import (
     POLICY_LOG_HEADER,
@@ -179,19 +180,22 @@ def test_qq_files_of_one_sample(tmp_path):
     assert np.shares_memory(sample[0], full) and sample[1] == [f"{v:.17g}" for v in srt]
 
 
-def test_float_cells_reuse_only_equal_bits():
-    y = np.array([-0.0, 0.0, 1 / 3, math.nan, 2.0])
-    cells = float_cells(y)
-    assert cells == ["-0", "0", "0.33333333333333331", "nan", "2"]
-    x = np.array([-0.0, 1 / 3, -math.nan, 2.0])  # aligned with y[1:]
-    out = float_cells(x, (y, cells))
-    assert out == ["-0", "0.33333333333333331", "nan", "2"]
-    assert [a is b for a, b in zip(out, cells[1:])] == [False, True, False, True]
-    assert float_cells(x[:0], (y, cells)) == []
+def test_qq_cells_are_reused_for_a_suffix_equal_in_bits(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(tails, "float_cells", lambda x: calls.append(x.size) or float_cells(x))
+    srt = np.array([-1.0, -0.0, 0.0, 1 / 3, math.nan])
+    sample = write_qq_csv(np.column_stack([srt, srt]), tmp_path / "new")
+    swapped = np.array([0.0, -0.0, 1 / 3, math.nan])  # == srt[1:], but not in bits
+    for i, emp in enumerate([srt[2:], swapped, srt[:0]]):
+        points = np.column_stack([emp[::-1], emp])
+        old_write_qq_csv(points, tmp_path / f"old{i}")
+        assert write_qq_csv(points, tmp_path / f"new{i}", sample) is sample
+        assert (tmp_path / f"new{i}").read_bytes() == (tmp_path / f"old{i}").read_bytes()
+    assert calls == [5, 4]  # the sample, then the column that is no suffix of it
 
 
 def test_preformatted_cells(tmp_path):
-    write_csv(tmp_path / "t.csv", ["a", "b"], [Cells(iter(["1,5", "x"])), [1.5, None]])
+    write_csv(tmp_path / "t.csv", ["a", "b"], [Cells(["1,5", "x"]), [1.5, None]])
     assert (tmp_path / "t.csv").read_text() == "a,b\n1,5,1.5\nx,\n"
 
 

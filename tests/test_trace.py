@@ -9,6 +9,7 @@ bit-identical arrays, and reject every row the old reader rejected.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import BYTE_EDITS, mutate
 from dppdesign.errors import InputFormatError
 from dppdesign.kernels import synth_kernel
 from dppdesign.search import dpp_search
+from dppdesign import trace as trace_module
 from dppdesign.trace import TRACE_HEADER, SampleTrace, read_trace, record_flags, write_trace
 
 # ---------------------------------------------------------------------------
@@ -232,6 +234,7 @@ def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
     with pytest.raises(InputFormatError) as err:
         read_trace(path)
     assert str(err.value) == f"malformed trace row in {path}, line {line}: {reason}"
+    assert read_in_blocks(path, 3) == str(err.value)
 
 
 def test_crlf_and_blank_lines(tmp_path):
@@ -256,6 +259,102 @@ def test_good_file_is_one_loadtxt_pass(tmp_path, monkeypatch, text):
     back = read_trace(path)
     assert len(calls) == 1
     assert_same_trace(back, old_read_trace(path))
+
+
+# ---------------------------------------------------------------------------
+# Blocks of lines: read_trace parses the body _BLOCK_LINES lines at a time,
+# and one block holds the whole body of a small file.
+
+
+def read_in_blocks(path, lines):
+    """read_trace's trace, or its error message, in blocks of `lines` lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace_module, "_BLOCK_LINES", lines)
+        try:
+            return read_trace(path)
+        except InputFormatError as exc:
+            return str(exc)
+
+
+def assert_same_in_blocks(path):
+    """Blocks of 3 lines read path as one block of the whole body does."""
+    small, whole = read_in_blocks(path, 3), read_in_blocks(path, 10**9)
+    assert type(small) is type(whole)
+    if isinstance(whole, str):
+        assert small == whole
+    else:
+        assert_same_trace(small, whole)
+    return small
+
+
+def test_search_trace_in_blocks(tmp_path, search_trace):
+    write_trace(search_trace, tmp_path / "trace.csv")
+    assert_same_trace(assert_same_in_blocks(tmp_path / "trace.csv"), search_trace)
+
+
+def test_malformed_row_in_a_later_block(tmp_path):
+    rows = [f"{i},{-1.0 / i!r},1,{i};{i + 1}" for i in range(1, 21)]
+    rows[15] = "16,-0.0625,1,16;x"  # line 17 of the file, in the sixth block of three
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
+    assert read_in_blocks(path, 3) == (
+        f"malformed trace row in {path}, line 17: could not convert string 'x' to int64")
+    assert_same_in_blocks(path)
+
+
+@pytest.mark.parametrize("text", [
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n3,-0.25,1,1;4\n4,-2,0,0;1\n",
+    f"\r\n{TRACE_HEADER}\r\n1,-1,1,0;3\r\n\r\n2,-0.5,1,1;2\r\n\n",
+    f"{TRACE_HEADER}\r1,-1,1,0;3\r2,-0.5,1,1;2\r",
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2",
+    # a block of blank lines alone, and blank lines to the end
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n\n\n\n\n\n\n2,-0.5,1,1;2\n\n\n\n\n",
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n   \n",
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n3,inf,1,1;2\n",
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n3,-2,1,2;2\n",
+    f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n2,-2,1,1;2\n",
+], ids=["good", "crlf-and-blank", "cr", "no-final-end", "blank-block", "spaces-at-end",
+        "infinite-value", "repeated-index", "repeated-iteration"])
+def test_files_in_blocks(tmp_path, text):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    assert_same_in_blocks(path)
+
+
+# Memory: a trace's text is never held whole beside its parsed copy.  These
+# count traced allocations, so they hold on any machine.
+
+
+@pytest.fixture(scope="module")
+def wide_trace():
+    """50k rows with k = 10, built directly: 17-digit values and subsets
+    3j + (i mod 3) of 30 sites."""
+    n = 50_000
+    rows = np.arange(n)
+    return SampleTrace(rows + 1, -10.0 - np.sqrt(rows) / 7.0,
+                       3 * np.arange(10) + (rows % 3)[:, None])
+
+
+def traced_peak(fn, *args):
+    """(fn's result, the peak of memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_trace_peaks_below_twice_its_arrays(tmp_path, wide_trace):
+    write_trace(wide_trace, tmp_path / "wide.csv")
+    back, peak = traced_peak(read_trace, tmp_path / "wide.csv")
+    assert_same_trace(back, wide_trace)
+    assert peak <= 2 * (back.iterations.nbytes + back.values.nbytes + back.index.nbytes)
+
+
+def test_write_trace_peaks_below_a_megabyte(tmp_path, wide_trace):
+    _, peak = traced_peak(write_trace, wide_trace, tmp_path / "wide.csv")
+    assert (tmp_path / "wide.csv").stat().st_size > 2_500_000
+    assert peak <= 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -310,3 +409,4 @@ def test_mutated_trace_is_read_or_an_input_error(fuzz_dir, edits):
         read_trace(path)
     except InputFormatError:
         pass
+    assert_same_in_blocks(path)

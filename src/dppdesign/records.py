@@ -252,7 +252,7 @@ def inter_record_time_tail(kth: int, j: int) -> float:
     from scipy import integrate
 
     val, _ = integrate.quad(integrand, 0.0, np.inf, limit=200)
-    return float(val)
+    return min(max(float(val), 0.0), 1.0)  # quad's rounding can end just past 1
 
 
 def inter_record_time_pmf(kth: int, j: int) -> float:

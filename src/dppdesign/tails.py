@@ -126,10 +126,11 @@ class _Composite:
         mu, sigma, xi, p_tail = self.tail
         hi = q > 1.0 - p_tail
         u = (1.0 - q[hi]) / p_tail
-        if abs(xi) < _XI_EXP_BRANCH:
-            out[hi] = mu - sigma * np.log(u)
-        else:
-            out[hi] = mu + sigma * (np.power(u, -xi) - 1.0) / xi
+        with np.errstate(divide="ignore"):  # level 1 has u = 0: inf for xi >= 0
+            if abs(xi) < _XI_EXP_BRANCH:
+                out[hi] = mu - sigma * np.log(u)
+            else:
+                out[hi] = mu + sigma * (np.power(u, -xi) - 1.0) / xi
         return out
 
 
@@ -161,7 +162,8 @@ class _Weibull:
         return out
 
     def quantile(self, q):
-        return self.shift + self.scale * np.power(-np.log1p(-q), 1.0 / self.shape)
+        with np.errstate(divide="ignore"):  # level 1 has log1p(-1) = -inf
+            return self.shift + self.scale * np.power(-np.log1p(-q), 1.0 / self.shape)
 
 
 class _LogNormal:

@@ -16,7 +16,7 @@ from .textio import read_text, write_csv
 TRACE_HEADER = "iteration,log_det,is_record,subset"
 # Every byte but , ; and newline: deleting them leaves each line's skeleton.
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",;\n")
-_BLOCK_LINES = 1024  # trace lines parsed by one numpy pass
+_BLOCK_CHARS = 1 << 15  # least characters of trace text per numpy pass
 
 
 def record_flags(values: np.ndarray) -> np.ndarray:
@@ -90,43 +90,39 @@ def _load_rows(text: str, k: int) -> np.ndarray:
                       delimiter=",", comments=None, ndmin=1)
 
 
-def _read_blocks(body: str, k: int):
-    """(iterations, values, index) of the rows, one numpy pass per block of
-    _BLOCK_LINES lines into arrays sized by the line count; None where a
-    block fails numpy's pass or holds a nonblank line other than three
-    commas, then k - 1 semicolons, between its cells."""
+def _read_rows(body: str, k: int, first_line: int, path):
+    """(iterations, values, index) of the rows, one numpy pass per block
+    into arrays sized by the line count.  A block runs to the first line
+    end at or past _BLOCK_CHARS characters; one that fails numpy's pass or
+    holds a nonblank line other than three commas, then k - 1 semicolons,
+    between its cells is diagnosed alone, as the blocks before it passed."""
     skeleton = [b",,," + b";" * (k - 1)]
     size = body.count("\n") + 1
     columns = np.empty(size, np.int64), np.empty(size), np.empty((size, k), np.int64)
     m = end = 0
     while end < len(body):
-        start = end
-        for _ in range(_BLOCK_LINES):
-            end = body.find("\n", end) + 1
-            if not end:
-                end = len(body)
-                break
+        start, end = end, body.find("\n", end + _BLOCK_CHARS - 1) + 1 or len(body)
         block = body[start:end]
         if not block.strip("\n"):
             continue  # blank lines only: numpy would read no rows, and warn
         try:
             rows = _load_rows(block, k)
         except ValueError:
-            return None
-        if block.encode().translate(None, _NOT_SEPARATORS).split() != skeleton * rows.size:
-            return None
+            rows = None
+        if rows is None or (block.encode().translate(None, _NOT_SEPARATORS).split()
+                            != skeleton * rows.size):
+            _diagnose(block, k, first_line + body.count("\n", 0, start), path)
         for column, name in zip(columns, ("iteration", "log_det", "index")):
             column[m:m + rows.size] = rows[name]
         m += rows.size
     return tuple(column[:m] for column in columns)
 
 
-def _diagnose(body: str, k: int, first_line: int, path):
-    """The whole-body reading behind a failed block: each line is checked
-    alone, since numpy's row numbers count from 0 or 1 by the kind of error
-    and count index cells as columns, and the first malformed one is named.
-    A body with none is read in one numpy pass."""
-    for number, line in enumerate(body.split("\n"), start=first_line):
+def _diagnose(block: str, k: int, first_line: int, path):
+    """Raises for a block that failed: each line is checked alone, since
+    numpy's row numbers count from 0 or 1 by the kind of error and count
+    index cells as columns, and the first malformed one is named."""
+    for number, line in enumerate(block.split("\n"), start=first_line):
         fields = line.split(",")
         cells = fields[-1].count(";") + 1
         reason = (f"expected 4 fields, found {len(fields)}" if len(fields) != 4 else
@@ -139,8 +135,7 @@ def _diagnose(body: str, k: int, first_line: int, path):
             reason = str(exc).partition(" at row ")[0]
         if line and reason:
             raise InputFormatError(f"malformed trace row in {path}, line {number}: {reason}")
-    rows = _load_rows(body, k)
-    return tuple(np.ascontiguousarray(rows[name]) for name in ("iteration", "log_det", "index"))
+    raise InputFormatError(f"malformed trace rows in {path} from line {first_line}")
 
 
 def read_trace(path) -> SampleTrace:
@@ -159,7 +154,7 @@ def read_trace(path) -> SampleTrace:
     # comma, so each nonblank line must also hold three commas, then k - 1
     # semicolons, and no other separators.
     k = first.rpartition(",")[2].count(";") + 1
-    iterations, values, index = _read_blocks(body, k) or _diagnose(body, k, first_line, path)
+    iterations, values, index = _read_rows(body, k, first_line, path)
     del body
     if not np.all(np.isfinite(values)):
         raise InputFormatError(f"trace log_det values must be finite: {path}")

@@ -300,6 +300,14 @@ class TestInterRecordTimes:
                 rel=1e-10,
             )
 
+    def test_quadrature_tails_are_probabilities(self):
+        # quad gave 1.0000000000000098 at (64, 66) and 1.0000000000000133 at kth = 100
+        for k in range(1, 121, 7):
+            for j in (66, 67, 100, 1000, 10**4, 10**5, 10**6):
+                assert 0.0 <= inter_record_time_tail(k, j) <= 1.0
+                assert inter_record_time_pmf(k, j) >= 0.0
+        assert inter_record_time_tail(100, 65) == 1.0
+
     def test_pmf_consistent_with_tail(self):
         for k in (1, 2, 3):
             for j in (1, 2, 10, 40):

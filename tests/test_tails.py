@@ -2,12 +2,13 @@ import dataclasses
 import json
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special, stats
 
 from dppdesign import (
     DegenerateSampleError,
@@ -574,6 +575,37 @@ class TestFittedCdfPlumbing:
         assert np.array_equal(model.quantile(levels), expect)
         for q in (0.0, top):
             assert model.quantile(q) == np.quantile(x, q, method="inverted_cdf")
+
+    # (family, params, shift, the support's ends, the quantile at levels 0.95
+    # and 0.999 from its closed form)
+    @pytest.mark.parametrize("family,params,shift,ends,inner", [
+        ("gpd", {"mu": 0.5, "sigma": 0.2, "xi": 0.3, "p_tail": 0.1}, 0.0, [-0.25, math.inf],
+         lambda q: 0.5 + 0.2 * (np.power((1.0 - q) / 0.1, -0.3) - 1.0) / 0.3),
+        ("gpd", {"mu": 0.5, "sigma": 0.2, "xi": 1e-7, "p_tail": 0.1}, 0.0, [-0.25, math.inf],
+         lambda q: 0.5 - 0.2 * np.log((1.0 - q) / 0.1)),
+        ("gpd", {"mu": 0.5, "sigma": 0.2, "xi": -0.4, "p_tail": 0.1}, 0.0, [-0.25, 1.0],
+         lambda q: 0.5 + 0.2 * (np.power((1.0 - q) / 0.1, 0.4) - 1.0) / -0.4),
+        ("empirical", {}, 0.0, [-0.25, 1.0],
+         lambda q: np.quantile(np.linspace(-0.25, 1.0, 101), q, method="inverted_cdf")),
+        ("weibull", {"shape": 2.5, "scale": 1.5}, -0.3, [-0.3, math.inf],
+         lambda q: -0.3 + 1.5 * np.power(-np.log1p(-q), 1.0 / 2.5)),
+        ("cens_weibull", {"shape": 0.7, "scale": 2.0}, 0.25, [0.25, math.inf],
+         lambda q: 0.25 + 2.0 * np.power(-np.log1p(-q), 1.0 / 0.7)),
+        ("exponential", {"rate": 3.0, "loc": -1.0}, 0.0, [-1.0, math.inf],
+         lambda q: -1.0 + (1.0 / 3.0) * np.power(-np.log1p(-q), 1.0)),
+        ("lognormal", {"mu": 0.2, "sigma": 0.8}, 0.4, [0.4, math.inf],
+         lambda q: 0.4 + np.exp(0.2 + 0.8 * special.ndtri(q))),
+    ], ids=["gpd-power", "gpd-log", "gpd-bounded", "empirical", "weibull", "cens_weibull",
+            "exponential", "lognormal"])
+    def test_quantile_at_the_ends_of_the_support(self, family, params, shift, ends, inner):
+        model = FittedCdf(family, params, shift=shift, sample=np.linspace(-0.25, 1.0, 101))
+        levels = np.array([0.0, 0.95, 0.999, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = model.quantile(levels)
+            assert [model.quantile(0.0), model.quantile(1.0)] == ends
+        assert got[[0, -1]].tolist() == ends
+        assert np.array_equal(got[1:-1], inner(levels[1:-1]))
 
     @pytest.mark.parametrize("family,params,shift,x,survival", [
         ("weibull", {"shape": 1.76e16, "scale": 1.0}, 0.0, [0.5, 1.01], [1.0, 0.0]),

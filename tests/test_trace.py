@@ -234,7 +234,7 @@ def test_malformed_row_names_its_file_line(tmp_path, text, line, reason):
     with pytest.raises(InputFormatError) as err:
         read_trace(path)
     assert str(err.value) == f"malformed trace row in {path}, line {line}: {reason}"
-    assert read_in_blocks(path, 3) == str(err.value)
+    assert assert_same_in_blocks(path) == str(err.value)
 
 
 def test_crlf_and_blank_lines(tmp_path):
@@ -262,14 +262,16 @@ def test_good_file_is_one_loadtxt_pass(tmp_path, monkeypatch, text):
 
 
 # ---------------------------------------------------------------------------
-# Blocks of lines: read_trace parses the body _BLOCK_LINES lines at a time,
-# and one block holds the whole body of a small file.
+# Blocks of text: read_trace parses the body in blocks that each run to the
+# first line end at or past _BLOCK_CHARS characters, and one block holds the
+# whole body of a small file.
 
 
-def read_in_blocks(path, lines):
-    """read_trace's trace, or its error message, in blocks of `lines` lines."""
+def read_in_blocks(path, chars):
+    """read_trace's trace, or its error message, in blocks of at least
+    `chars` characters."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trace_module, "_BLOCK_LINES", lines)
+        mp.setattr(trace_module, "_BLOCK_CHARS", chars)
         try:
             return read_trace(path)
         except InputFormatError as exc:
@@ -277,14 +279,17 @@ def read_in_blocks(path, lines):
 
 
 def assert_same_in_blocks(path):
-    """Blocks of 3 lines read path as one block of the whole body does."""
-    small, whole = read_in_blocks(path, 3), read_in_blocks(path, 10**9)
-    assert type(small) is type(whole)
-    if isinstance(whole, str):
-        assert small == whole
-    else:
-        assert_same_trace(small, whole)
-    return small
+    """Blocks of one line each and blocks of at least 40 characters read
+    path as one block of the whole body does; returns the one-line read."""
+    whole = read_in_blocks(path, 10**9)
+    reads = [read_in_blocks(path, chars) for chars in (1, 40)]
+    for small in reads:
+        assert type(small) is type(whole)
+        if isinstance(whole, str):
+            assert small == whole
+        else:
+            assert_same_trace(small, whole)
+    return reads[0]
 
 
 def test_search_trace_in_blocks(tmp_path, search_trace):
@@ -292,14 +297,33 @@ def test_search_trace_in_blocks(tmp_path, search_trace):
     assert_same_trace(assert_same_in_blocks(tmp_path / "trace.csv"), search_trace)
 
 
-def test_malformed_row_in_a_later_block(tmp_path):
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_malformed_row_in_a_later_block(tmp_path, end):
     rows = [f"{i},{-1.0 / i!r},1,{i};{i + 1}" for i in range(1, 21)]
-    rows[15] = "16,-0.0625,1,16;x"  # line 17 of the file, in the sixth block of three
+    rows[15] = "16,-0.0625,1,16;x"
+    rows[4:4] = ["", "", ""]  # with two blank lines before the header, the bad row is line 22
     path = tmp_path / "trace.csv"
-    path.write_text("\n".join([TRACE_HEADER, *rows]) + "\n")
-    assert read_in_blocks(path, 3) == (
-        f"malformed trace row in {path}, line 17: could not convert string 'x' to int64")
-    assert_same_in_blocks(path)
+    path.write_bytes((end.join(["", "", TRACE_HEADER, *rows]) + end).encode())
+    message = f"malformed trace row in {path}, line 22: could not convert string 'x' to int64"
+    for chars in (1, 40, 100):  # the bad row in a block of its own, and later in a block
+        assert read_in_blocks(path, chars) == message
+    assert assert_same_in_blocks(path) == message
+
+
+def test_block_whose_lines_all_pass_is_an_input_error(tmp_path, monkeypatch):
+    # No such block is known; if one arose, its first line is named, and no
+    # ValueError escapes read_trace.
+    path = tmp_path / "trace.csv"
+    path.write_text(f"{TRACE_HEADER}\n1,-1,1,0;3\n2,-0.5,1,1;2\n3,-0.25,1,1;4\n")
+    load_rows = trace_module._load_rows
+
+    def refuse_blocks(text, k):
+        if text.count("\n") > 1:
+            raise ValueError("refused")
+        return load_rows(text, k)
+
+    monkeypatch.setattr(trace_module, "_load_rows", refuse_blocks)
+    assert read_in_blocks(path, 10**9) == f"malformed trace rows in {path} from line 2"
 
 
 @pytest.mark.parametrize("text", [
@@ -349,6 +373,25 @@ def test_read_trace_peaks_below_twice_its_arrays(tmp_path, wide_trace):
     back, peak = traced_peak(read_trace, tmp_path / "wide.csv")
     assert_same_trace(back, wide_trace)
     assert peak <= 2 * (back.iterations.nbytes + back.values.nbytes + back.index.nbytes)
+
+
+def test_bad_last_row_is_diagnosed_in_its_block_alone(tmp_path, monkeypatch, wide_trace):
+    path = tmp_path / "wide.csv"
+    write_trace(wide_trace, path)
+    text = path.read_text()
+    path.write_text(text[:text.rindex(";")] + ";x\n")
+    calls = []
+    load_rows = trace_module._load_rows
+    monkeypatch.setattr(trace_module, "_load_rows",
+                        lambda text, k: calls.append(text) or load_rows(text, k))
+    with pytest.raises(InputFormatError) as err:
+        read_trace(path)
+    assert str(err.value) == (
+        f"malformed trace row in {path}, line 50001: could not convert string 'x' to int64")
+    # Blocks hold line ends; the lines of the failing block, checked alone, do not.
+    blocks = [t for t in calls if "\n" in t]
+    assert len(blocks) <= len(text) // trace_module._BLOCK_CHARS + 1
+    assert len(calls) <= len(blocks) + blocks[-1].count("\n")
 
 
 def test_write_trace_peaks_below_a_megabyte(tmp_path, wide_trace):

@@ -266,13 +266,12 @@ def cmd_fit_tail(args) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sample = None  # the sorted sample and its cells, formatted once for every QQ file
     for family, fitted in zip(families, fits):
         write_fit_report(fitted, out / f"fit_{family}.json", meta)
-        sample = write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv", sample)
+        write_qq_csv(qq_points(fitted, values), out / f"qq_{family}_full.csv")
         if fitted.threshold is not None:
             write_qq_csv(qq_points(fitted, values, upper_tail_only=True),
-                         out / f"qq_{family}_tail.csv", sample)
+                         out / f"qq_{family}_tail.csv")
         write_density_overlay(fitted, values, out / f"density_{family}.csv")
         print(f"fit {family}: {json.dumps(fitted.params, sort_keys=True)}")
     return 0

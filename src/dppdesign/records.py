@@ -256,12 +256,42 @@ def inter_record_time_tail(kth: int, j: int) -> float:
 
 
 def inter_record_time_pmf(kth: int, j: int) -> float:
-    """P(gap after the (kth-1)-th record equals j), j >= 1."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
+    """P(gap after the (kth-1)-th record equals j), j >= 1.
+
+    Exact rational differences of tails up to j = 65.  Past that the tails
+    both near 1 would cancel, so the pmf's own integral is used,
+    int_0^inf x^(kth-1)/Gamma(kth) e^-2x (1-e^-x)^(j-1) dx: its peak is
+    narrow, so it is integrated scaled to 1 at its mode, over a window of
+    ten widths either side of the mode and the two pieces outside it.
+    """
+    if kth < 1 or j < 1:
+        raise ValueError(f"kth and j must be >= 1, got {kth} and {j}")
     if j - 1 <= _EXACT_GAP_LIMIT:
         return float(_exact_gap_tail(kth, j - 1) - _exact_gap_tail(kth, j))
-    return inter_record_time_tail(kth, j - 1) - inter_record_time_tail(kth, j)
+
+    def log_integrand(x):
+        return (kth - 1) * math.log(x) - 2.0 * x + (j - 1) * math.log1p(-math.exp(-x))
+
+    def slope(x):  # log_integrand's derivative plus 2, falling from +inf
+        return (kth - 1) / x + (j - 1) * math.exp(-x) / -math.expm1(-x)
+
+    # The mode, where slope(x) = 2, lies below kth + log(j) + 1.
+    lo, hi = 0.0, kth + math.log(j) + 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 2.0 else (lo, mid)
+    mode = 0.5 * (lo + hi)
+    width = ((kth - 1) / mode**2 + (j - 1) * math.exp(-mode) / math.expm1(-mode) ** 2) ** -0.5
+    peak = log_integrand(mode)
+
+    def scaled(x):
+        return math.exp(log_integrand(x) - peak) if x > 0.0 else 0.0
+
+    from scipy import integrate
+
+    edges = [0.0, max(0.0, mode - 10.0 * width), mode + 10.0 * width, np.inf]
+    val = sum(integrate.quad(scaled, a, b, limit=200)[0] for a, b in zip(edges, edges[1:]))
+    return val * math.exp(peak - math.lgamma(kth))
 
 
 def record_value_pdf(dist, d: int, r: float) -> float:

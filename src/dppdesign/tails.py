@@ -25,7 +25,7 @@ from .errors import (
     InsufficientTailDataError,
     NonConvergenceError,
 )
-from .textio import Cells, float_cells, write_csv, write_json
+from .textio import write_csv, write_json
 
 _MIN_EXCEEDANCES = 30
 _XI_EXP_BRANCH = 1e-6  # |xi| below this uses the exponential-limit formulas
@@ -706,21 +706,9 @@ def write_fit_report(fit: FittedCdf, path, meta: dict | None = None) -> None:
     })
 
 
-def write_qq_csv(points: np.ndarray, path, sample=None):
-    """CSV of QQ points; returns sample, or (empirical column, its cells)
-    when sample is None.  fit-tail passes the return to each later write of
-    the same sample: an empirical column whose bits (not values, since -0.0
-    == 0.0 but prints as -0) equal the sample's last values reuses their
-    cells, so each is formatted once.  The theoretical column is formatted
-    block by block as it is written."""
-    theo, emp = points.T
-    sample = sample or (emp, float_cells(emp))
-    first, cells = sample
-    start = first.size - emp.size
-    if start < 0 or not np.array_equal(first[start:].view(np.int64), emp.view(np.int64)):
-        start, cells = 0, float_cells(emp)
-    write_csv(path, ("theoretical", "empirical"), [theo, Cells(cells[start:])])
-    return sample
+def write_qq_csv(points: np.ndarray, path) -> None:
+    """CSV of QQ points (theoretical, empirical)."""
+    write_csv(path, ("theoretical", "empirical"), list(points.T))
 
 
 def write_density_overlay(fit: FittedCdf, values, path) -> None:

@@ -267,6 +267,19 @@ class TestInterRecordTimes:
         for j in (66, 100, 1000):
             assert inter_record_time_pmf(1, j) == pytest.approx(1 / (j * (j + 1)), rel=1e-12)
 
+    @pytest.mark.parametrize("kth,j", [(50, 66), (50, 100), (64, 100), (100, 66), (30, 200),
+                                       (2, 66), (5, 300), (1, 70), (10, 1000)])
+    def test_pmf_past_the_exact_limit_against_the_rational_sum(self, kth, j):
+        # A difference of two tails near 1 gave 8.881784197001252e-16 at
+        # (50, 66) and 0.0 at (64, 100).
+        exact = sum(Fraction((-1) ** m * math.comb(j - 1, m), (m + 2) ** kth) for m in range(j))
+        assert inter_record_time_pmf(kth, j) == pytest.approx(float(exact), rel=1e-7, abs=0)
+
+    @pytest.mark.parametrize("kth,j", [(0, 5), (0, 100), (1, 0), (3, -2)])
+    def test_pmf_validation(self, kth, j):
+        with pytest.raises(ValueError):
+            inter_record_time_pmf(kth, j)
+
     def test_monotone_in_gap(self):
         for k in (1, 2, 4):
             vals = [inter_record_time_tail(k, j) for j in range(0, 120, 7)]

@@ -8,11 +8,13 @@ same bytes on inputs that stress the cell format.
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dppdesign import tails
 from dppdesign.records import RECORD_LOG_HEADER, RecordSequence, write_record_log
 from dppdesign.stopping import (
     POLICY_LOG_HEADER,
@@ -30,7 +32,8 @@ from dppdesign.tails import (
     write_fit_report,
     write_qq_csv,
 )
-from dppdesign.textio import Cells, float_cells, write_csv, write_json
+from dppdesign import textio
+from dppdesign.textio import write_csv, write_json
 from dppdesign.trace import TRACE_HEADER, SampleTrace, record_flags, write_trace
 
 SPECIAL = [math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308, -2.5, 1 / 3]
@@ -171,36 +174,34 @@ def test_qq_files_of_one_sample(tmp_path):
     srt = np.array([-math.inf, -1.0, -0.0, 0.0, 5e-324, 1 / 3, 1e308, math.inf])
     full = np.column_stack([[-0.0, -1.0, 0.0, -0.0, 5e-324, math.nan, 2.0, math.inf], srt])
     tail = np.column_stack([[0.0, -0.0, 1 / 3, 1e308, math.nan], srt[3:]])
-    other = np.column_stack([srt, srt[::-1]])  # not a suffix: formatted afresh
-    sample = None
+    other = np.column_stack([srt, srt[::-1]])
     for i, points in enumerate([full, tail, other, full[:0]]):
         old_write_qq_csv(points, tmp_path / f"old{i}")
-        sample = write_qq_csv(points, tmp_path / f"new{i}", sample)
+        write_qq_csv(points, tmp_path / f"new{i}")
         assert (tmp_path / f"new{i}").read_bytes() == (tmp_path / f"old{i}").read_bytes()
-    assert np.shares_memory(sample[0], full) and sample[1] == [f"{v:.17g}" for v in srt]
 
 
-def test_qq_cells_are_reused_for_a_suffix_equal_in_bits(tmp_path, monkeypatch):
-    calls = []
-    monkeypatch.setattr(tails, "float_cells", lambda x: calls.append(x.size) or float_cells(x))
+def test_qq_columns_equal_in_value_but_not_in_bits(tmp_path):
     srt = np.array([-1.0, -0.0, 0.0, 1 / 3, math.nan])
-    sample = write_qq_csv(np.column_stack([srt, srt]), tmp_path / "new")
     swapped = np.array([0.0, -0.0, 1 / 3, math.nan])  # == srt[1:], but not in bits
-    for i, emp in enumerate([srt[2:], swapped, srt[:0]]):
+    for i, emp in enumerate([srt, srt[2:], swapped, srt[:0]]):
         points = np.column_stack([emp[::-1], emp])
         old_write_qq_csv(points, tmp_path / f"old{i}")
-        assert write_qq_csv(points, tmp_path / f"new{i}", sample) is sample
+        write_qq_csv(points, tmp_path / f"new{i}")
         assert (tmp_path / f"new{i}").read_bytes() == (tmp_path / f"old{i}").read_bytes()
-    assert calls == [5, 4]  # the sample, then the column that is no suffix of it
 
 
-def test_preformatted_cells(tmp_path):
-    write_csv(tmp_path / "t.csv", ["a", "b"], [Cells(["1,5", "x"]), [1.5, None]])
-    assert (tmp_path / "t.csv").read_text() == "a,b\n1,5,1.5\nx,\n"
+def test_str_cells_are_written_verbatim(tmp_path):
+    # The pad byte deleted from each block is never a byte of UTF-8 text,
+    # so a NUL (or any other character) in a str cell survives.
+    write_csv(tmp_path / "t.csv", ["a", "b"], [["1\x005", "x\x00", "\x00", "ü\x7f"],
+                                               [1.5, None, "\x00\n", 2]])
+    assert (tmp_path / "t.csv").read_bytes() == (
+        "a,b\n1\x005,1.5\nx\x00,\n\x00,\"\x00\n\"\nü\x7f,2\n".encode())
 
 
 def test_rows_past_one_block(tmp_path):
-    values = np.random.default_rng(1).normal(size=1500) ** 3
+    values = np.random.default_rng(1).normal(size=2 * textio._BLOCK_ROWS + 500) ** 3
     points = np.column_stack([values, np.sort(values)])
     same_bytes(tmp_path, old_write_qq_csv, write_qq_csv, points)
 
@@ -239,11 +240,96 @@ def test_policy(tmp_path):
         PolicyCheck(3000, 1e308, math.nan, 0.001, 1e6, "stop", "a,b"),
         PolicyCheck(4000, -1e308, -math.inf, 1.0, 2.5, "continue", "plain"),
         PolicyCheck(5000, 1.0, -0.5, 0.25, 4.0, "continue", "line\nbreak"),
-        PolicyCheck(6000, 1.0, -0.5, 0.25, 4.0, "continue", "carriage\rreturn; tab\t"),
     ]
     same_bytes(tmp_path, old_write_policy_csv, write_policy_csv, checks)
     with open(tmp_path / "new", newline="") as fh:
         assert list(csv.reader(fh))[1][-1] == checks[0].reason
+
+
+def test_policy_reason_with_a_carriage_return_is_quoted(tmp_path):
+    # The csv module leaves a lone \r unquoted with lineterminator="\n", and
+    # csv.reader then splits the row there; the writer quotes it.
+    checks = [
+        PolicyCheck(6000, 1.0, -0.5, 0.25, 4.0, "continue", "carriage\rreturn; tab\t"),
+        PolicyCheck(7000, None, None, None, None, "unevaluable", 'a\r\n"b",\r'),
+        PolicyCheck(8000, 2.0, 0.0, 0.5, 2.0, "stop", "plain"),
+    ]
+    write_policy_csv(checks, tmp_path / "new")
+    lines = (tmp_path / "new").read_bytes().split(b"\n")
+    assert lines[1] == b'6000,1,-0.5,0.25,4,continue,"carriage\rreturn; tab\t"'
+    with open(tmp_path / "new", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[-1] for row in rows[1:]] == [c.reason for c in checks]
+
+
+def test_benchmark_sized_files(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 50_000
+    trace = SampleTrace(np.arange(1, n + 1), -10.0 - rng.exponential(size=n),
+                        np.sort(rng.random((n, 30)).argsort(axis=1)[:, :10], axis=1))
+    same_bytes(tmp_path, old_write_trace, write_trace, trace)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 20, n)
+    values[::97] = 0.0
+    points = np.column_stack([values, np.sort(values)])
+    same_bytes(tmp_path, old_write_qq_csv, write_qq_csv, points)
+
+
+def test_write_qq_csv_peaks_below_a_megabyte(tmp_path):
+    values = np.random.default_rng(3).normal(size=50_000)
+    points = np.column_stack([values, np.sort(values)])
+    tracemalloc.start()
+    try:
+        write_qq_csv(points, tmp_path / "qq.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "qq.csv").stat().st_size > 1_500_000
+    assert peak <= 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# Each numeric cell against Python's own formatting
+
+
+def assert_cells_as_printf(path, values, spec):
+    write_csv(path, ["v"], [values])
+    text = "".join(f"{format(v, spec)}\n" for v in values.tolist())
+    assert path.read_bytes() == f"v\n{text}".encode()
+
+
+def test_float_cells_equal_printf(tmp_path):
+    rng = np.random.default_rng(20)
+    tens = 10.0 ** np.arange(-6, 18)
+    ties = [np.floor(rng.uniform(3e14, 2e15, 100_000) / step) * step + step / 2
+            for step in (0.0625, 0.125, 0.25)]
+    values = np.concatenate([
+        rng.integers(0, 2**64, 150_000, dtype=np.uint64).view(np.float64),
+        rng.choice([-1.0, 1.0], 350_000) * 10.0 ** rng.uniform(-8, 20, 350_000),
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf), -tens, *ties,
+        np.round(rng.normal(size=100_000) * 1000, 2), np.round(rng.normal(size=100_000), 4),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, 1e-5, 1.5e-5,
+         1e-4, 2.5e-4, 9.99e15, 1.5e16, -1.5e16, 1.5e17, 1e17, 2.0**53, 2.0**53 + 2],
+    ])
+    assert values.size >= 1_000_000
+    assert_cells_as_printf(tmp_path / "c.csv", values, ".17g")
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+@settings(derandomize=True, max_examples=500, deadline=None)
+def test_float_cells_of_any_bits_equal_printf(tmp_path_factory, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert_cells_as_printf(tmp_path_factory.getbasetemp() / "bits.csv", values, ".17g")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, 9999, 10_000, -1, -9999, -10_000, 123_456_789, 10**16, -10**16 + 1,
+              2**63 - 1, -2**63]),
+    np.array([0, 1, 99, 2**64 - 1, 10**19], dtype=np.uint64),
+    np.array([0, 7, 42], dtype=np.int8),
+    np.array([True, False, True]),
+], ids=["int64", "uint64", "int8", "bool"])
+def test_int_cells_equal_printf(tmp_path, values):
+    assert_cells_as_printf(tmp_path / "c.csv", values, "d")
 
 
 def test_header_only(tmp_path):

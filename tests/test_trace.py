@@ -3,7 +3,7 @@
 old_read_trace, old_write_trace and the old_cell/old_write_csv pair they
 write through are verbatim copies of the reader that parsed one row at a
 time and the writer that sent every cell through csv.writer.  The
-columnar reader and the row-template writer must give the same bytes and
+columnar reader and the block writer must give the same bytes and
 bit-identical arrays, and reject every row the old reader rejected.
 """
 

@@ -42,13 +42,9 @@ from .stopping import (
     write_stopping_csv,
 )
 from .tails import (
+    FITTERS,
     FittedCdf,
     _is_number,
-    fit_censored_weibull,
-    fit_comparators,
-    fit_gpd_pot,
-    fitted_cdf_from_cens_weibull,
-    fitted_cdf_from_gpd,
     qq_points,
     write_density_overlay,
     write_fit_report,
@@ -57,7 +53,7 @@ from .tails import (
 from .textio import read_text, write_json
 from .trace import SampleTrace, read_trace, write_trace
 
-FAMILIES = ("gpd", "cens_weibull", "weibull", "lognormal")
+FAMILIES = tuple(FITTERS)
 
 # solve key (flag dest and config-file key) -> (cast, default)
 _SOLVE_KEYS = {
@@ -244,8 +240,7 @@ def cmd_fit_tail(args) -> int:
     q = args.threshold_quantile
     if not 0.0 <= q < 1.0:  # checked for every family, though only two fits read it
         raise ConfigError("threshold_quantile must lie in [0, 1)")
-    jittered = _jittered_trace(args.trace, args.sigma, args.seed)
-    values = jittered.values
+    values = _jittered_trace(args.trace, args.sigma, args.seed).values
     meta = {
         "trace_sha256": _sha256(args.trace),
         "jitter_sigma": args.sigma,
@@ -253,16 +248,7 @@ def cmd_fit_tail(args) -> int:
         "threshold_quantile": q,
     }
 
-    comparators = {}
-    fits = []  # every family is fitted before anything is written
-    for family in families:
-        if family == "gpd":
-            fits.append(fitted_cdf_from_gpd(fit_gpd_pot(values, q), values))
-        elif family == "cens_weibull":
-            fits.append(fitted_cdf_from_cens_weibull(fit_censored_weibull(values, q)))
-        else:
-            comparators = comparators or {f.family: f for f in fit_comparators(values)}
-            fits.append(comparators[family])
+    fits = [FITTERS[family](values, q) for family in families]  # all before any write
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

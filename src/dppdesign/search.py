@@ -392,26 +392,25 @@ def genetic_search(K: KernelMatrix, k: int, cfg: GaConfig | None = None,
 
 
 def _run_range(entries, eig, table, k, seed, lo, hi):
-    """Sample iterations lo..hi inclusive; each owns stream (seed, i).
+    """Values and subsets of iterations lo..hi inclusive; each owns stream (seed, i).
 
     Iterations are drawn in chunks of B rows, sized so the sampler's basis
     stack stays within _SAMPLER_WORKSPACE; rows are independent, so the
     chunking never changes a draw.
     """
-    iters = np.arange(lo, hi + 1, dtype=np.int64)
-    vals = np.empty(iters.size)
-    subs = np.empty((iters.size, k), dtype=np.int64)
+    vals = np.empty(hi - lo + 1)
+    subs = np.empty((vals.size, k), dtype=np.int64)
     dealer = streams.StreamDealer(seed, streams.DOMAIN_SEARCH)
-    B = max(1, min(iters.size, _SAMPLER_WORKSPACE // (8 * k * eig.n)))
+    B = max(1, min(vals.size, _SAMPLER_WORKSPACE // (8 * k * eig.n)))
     U = np.empty((B, eig.n + k))
-    for a in range(0, iters.size, B):
-        b = min(a + B, iters.size)
+    for a in range(0, vals.size, B):
+        b = min(a + B, vals.size)
         u = U[:b - a]
         for row, i in enumerate(range(lo + a, lo + b)):
             dealer.rng(i).random(out=u[row])
         idx = subs[a:b] = sample_k_batch(eig, k, u, table)
         vals[a:b] = _logdet_psd_stack(entries[idx[:, :, None], idx[:, None, :]])
-    return iters, vals, subs
+    return vals, subs
 
 
 # (entries, eig, table) of the search a pool worker serves: set once in
@@ -459,7 +458,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
 
     block = stop.check_every if stop is not None else max_iters
     state = None if stop is None else _PolicyState(stop, seed)
-    sampled = []  # (iterations, values, subsets) of each sampled range, in order
+    sampled = []  # (values, subsets) of each sampled range, in order
     stopped_at = None
 
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -486,7 +485,7 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
             results = pending.pop(0)()
             sampled += results
             if state is not None and state.fires(
-                np.concatenate([vals for _, vals, _ in results])
+                np.concatenate([vals for vals, _ in results])
             ):
                 stopped_at = min(lo + block - 1, max_iters)
                 if pool is not None and pending:
@@ -497,7 +496,8 @@ def dpp_search(K: KernelMatrix, k: int, max_iters: int, seed: int = 0,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    trace = SampleTrace(*(np.concatenate(column) for column in zip(*sampled)))
+    values, index = (np.concatenate(column) for column in zip(*sampled))
+    trace = SampleTrace(np.arange(1, values.size + 1), values, index)
     trace.stopped_at = stopped_at
     trace.policy_checks = None if state is None else tuple(state.checks)
     return trace

@@ -532,16 +532,10 @@ def _censored_log_y(n1: int, n_cens: int, log_r: float) -> float:
         a, b = (mid, b) if excess(mid) > 0.0 else (a, mid)
 
 
-def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:
-    """Weibull MLE with the sample below the threshold left-censored at it.
-
-    Samples reaching zero or below are first shifted to strictly positive
-    support; threshold_quantile = 0 censors nothing and reduces to the
-    plain Weibull MLE.  A sample with variance below 1e-12 is degenerate.
-    For a fixed shape k, the best rate b = scale^-k solves one scalar
-    equation in S_k = sum x^k (b = n / S_k when nothing is censored), so
-    one bounded solve over log k finds the fit.
-    """
+def _shifted_tail(values, threshold_quantile: float):
+    """(shift, threshold, xs, tail) of fit_censored_weibull's sample: the
+    support shift, the shifted sample xs, its threshold_quantile quantile,
+    and the >= 30 points of xs at or above it; raises as that fit does."""
     x = _check_values(values)
     if not 0.0 <= threshold_quantile < 1.0:
         raise ValueError("threshold_quantile must lie in [0, 1)")
@@ -554,13 +548,27 @@ def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibull
         shift *= 1.0 + 2.0**-40
         xs = x - shift
         thr = float(np.quantile(xs, threshold_quantile))
-    nonc = xs[xs >= thr]
+    tail = xs[xs >= thr]
+    if tail.size < _MIN_EXCEEDANCES:
+        raise InsufficientTailDataError(
+            f"{tail.size} non-censored points, need >= {_MIN_EXCEEDANCES}"
+        )
+    return shift, thr, xs, tail
+
+
+def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibullFit:
+    """Weibull MLE with the sample below the threshold left-censored at it.
+
+    Samples reaching zero or below are first shifted to strictly positive
+    support; threshold_quantile = 0 censors nothing and reduces to the
+    plain Weibull MLE.  A sample with variance below 1e-12 is degenerate.
+    For a fixed shape k, the best rate b = scale^-k solves one scalar
+    equation in S_k = sum x^k (b = n / S_k when nothing is censored), so
+    one bounded solve over log k finds the fit.
+    """
+    shift, thr, xs, nonc = _shifted_tail(values, threshold_quantile)
     n1 = nonc.size
     n_cens = int(xs.size - n1)
-    if n1 < _MIN_EXCEEDANCES:
-        raise InsufficientTailDataError(
-            f"{n1} non-censored points, need >= {_MIN_EXCEEDANCES}"
-        )
     # Powers are taken of x / top <= 1, so S_k / top^k never overflows.
     top = float(nonc.max())
     log_ratio = np.log(nonc / top)
@@ -599,34 +607,25 @@ def fit_censored_weibull(values, threshold_quantile: float = 0.9) -> CensWeibull
     )
 
 
-def fit_comparators(values) -> list:
-    """Uncensored Weibull and Log-Normal MLE fits over a whole sample of at
-    least 30 points (the Weibull is the censored fit with nothing censored)."""
-    x = _check_values(values)
-    fit = fit_censored_weibull(x, 0.0)
-    weib = FittedCdf("weibull", {"shape": fit.shape, "scale": fit.scale},
-                     shift=fit.shift, loglik=fit.loglik, n_used=x.size)
-    xs = x - fit.shift
+def _fit_weibull(values) -> FittedCdf:
+    """Plain Weibull MLE: the censored fit with nothing censored."""
+    fit = fit_censored_weibull(values, 0.0)
+    return FittedCdf("weibull", {"shape": fit.shape, "scale": fit.scale},
+                     shift=fit.shift, loglik=fit.loglik, n_used=fit.n_noncensored)
 
+
+def _fit_lognormal(values) -> FittedCdf:
+    """Log-Normal MLE on the Weibull fits' support shift, with their checks."""
+    shift, _, xs, _ = _shifted_tail(values, 0.0)
     logs = np.log(xs)
     mu = float(logs.mean())
     sd = float(logs.std())
     if sd < 1e-12:
         raise DegenerateSampleError("degenerate sample on the log scale")
-    ll = float(
-        -0.5 * xs.size * math.log(2.0 * math.pi)
-        - xs.size * math.log(sd)
-        - logs.sum()
-        - ((logs - mu) ** 2).sum() / (2.0 * sd * sd)
-    )
-    lognorm = FittedCdf(
-        "lognormal",
-        {"mu": mu, "sigma": sd},
-        shift=fit.shift,
-        loglik=ll,
-        n_used=xs.size,
-    )
-    return [weib, lognorm]
+    ll = float(-0.5 * xs.size * math.log(2.0 * math.pi) - xs.size * math.log(sd)
+               - logs.sum() - ((logs - mu) ** 2).sum() / (2.0 * sd * sd))
+    return FittedCdf("lognormal", {"mu": mu, "sigma": sd}, shift=shift, loglik=ll,
+                     n_used=xs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +654,20 @@ def fitted_cdf_from_cens_weibull(fit: CensWeibullFit) -> FittedCdf:
         loglik=fit.loglik,
         n_used=fit.n_noncensored + fit.n_censored,
     )
+
+
+# family -> fitter (values, threshold_quantile) -> FittedCdf; the comparators ignore the level
+FITTERS = {
+    "gpd": lambda x, q: fitted_cdf_from_gpd(fit_gpd_pot(x, q), x),
+    "cens_weibull": lambda x, q: fitted_cdf_from_cens_weibull(fit_censored_weibull(x, q)),
+    "weibull": lambda x, q: _fit_weibull(x),
+    "lognormal": lambda x, q: _fit_lognormal(x),
+}
+
+
+def fit_comparators(values) -> list:
+    """Plain Weibull and Log-Normal MLE fits over a sample of >= 30 points."""
+    return [_fit_weibull(values), _fit_lognormal(values)]
 
 
 def empirical_cdf(values) -> FittedCdf:

@@ -464,6 +464,25 @@ class TestFitTail:
         assert captured.err == "budget error: 4 exceedances above threshold, need >= 30\n"
         assert captured.out == "" and not out.exists()
 
+    def test_each_family_is_fitted_only_when_named(self, tmp_path, capsys):
+        # 1e13 + N(0, 1) is positive, so unshifted, and its logs spread by about
+        # 1e-13: degenerate for the lognormal, not for the Weibull
+        values = np.round(1e13 + np.random.default_rng(0).normal(size=500), 3)
+        with pytest.raises(dppdesign.DegenerateSampleError, match="on the log scale"):
+            dppdesign.fit_comparators(values)
+        trace = tmp_path / "trace.csv"
+        write_toy_trace(trace, values=values)
+        out = tmp_path / "o"
+        assert run("fit-tail", "--trace", trace, "--families", "weibull",
+                   "--out-dir", out) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "density_weibull.csv", "fit_weibull.json", "qq_weibull_full.csv"]
+        capsys.readouterr()
+        assert run("fit-tail", "--trace", trace, "--families", "lognormal",
+                   "--out-dir", tmp_path / "l") == 3
+        assert capsys.readouterr().err == "numeric error: degenerate sample on the log scale\n"
+        assert not (tmp_path / "l").exists()
+
     @pytest.mark.parametrize("values,flags", [
         pytest.param(np.random.default_rng(0).gumbel(size=30_000),
                      ["--threshold-quantile", 0.999, "--families", "cens_weibull"],
